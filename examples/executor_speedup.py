@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Interpreter vs specializing executor on one MLP workload.
+"""Interpreter vs the codegen executor on one MLP workload.
 
 Compiles the same graph twice — once per runtime backend
 (``CompilerOptions.executor``) — checks the outputs are bit-identical,
-then times steady-state execution of both.  The compiled backend wins by
-moving per-call work (name resolution, schema validation, index
-arithmetic, frame allocation) to a one-time specialization pass; the
-numpy kernels themselves are shared.
+then times steady-state execution of both.  The codegen backend (the
+default) wins by moving per-call work (name resolution, schema
+validation, index arithmetic, frame allocation) into Python source
+generated once per partition; the numpy kernels themselves are shared.
 
 Run:  python examples/executor_speedup.py
 """
@@ -36,7 +36,7 @@ def main() -> None:
     feed = make_mlp_inputs(WORKLOAD, BATCH, DType.f32)
 
     results = {}
-    for backend in ("interpret", "compiled"):
+    for backend in ("interpret", "codegen"):
         partition = compile_graph(
             build_mlp_graph(WORKLOAD, BATCH, DType.f32),
             options=CompilerOptions(executor=backend),
@@ -44,20 +44,20 @@ def main() -> None:
         results[backend] = steady_state_ms(partition, feed)
         partition.close()
 
-    (interp_ms, interp_out), (comp_ms, comp_out) = (
-        results["interpret"], results["compiled"]
+    (interp_ms, interp_out), (gen_ms, gen_out) = (
+        results["interpret"], results["codegen"]
     )
 
     # The executor is only a win if it changes nothing: outputs must be
     # bit-identical, not merely close.  (Names differ between separately
     # built graphs, so compare positionally.)
-    for ref, got in zip(interp_out.values(), comp_out.values()):
+    for ref, got in zip(interp_out.values(), gen_out.values()):
         assert np.array_equal(ref, got), "backends diverged"
 
     print(f"{WORKLOAD} batch={BATCH} f32, best of {REPEAT}:")
     print(f"  interpreter : {interp_ms:8.3f} ms")
-    print(f"  compiled    : {comp_ms:8.3f} ms")
-    print(f"  speedup     : {interp_ms / comp_ms:8.2f}x  (bit-identical)")
+    print(f"  codegen     : {gen_ms:8.3f} ms")
+    print(f"  speedup     : {interp_ms / gen_ms:8.2f}x  (bit-identical)")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, Optional
 
+from ..core.options import CompilerOptions
 from ..observability import get_registry, get_tracer
 from ..observability.flight import dump_flight, get_flight_recorder
 from ..perfmodel import MachineSimulator, specs_for_partition
@@ -215,7 +216,7 @@ class AdaptiveManager:
         compile_fresh_for: Callable[[str], Optional[Callable]],
         tuning_cache_path: Optional[str] = None,
         tuning_seed: int = 0,
-        executor: str = "compiled",
+        executor: str = CompilerOptions.executor,
     ) -> None:
         self.cache = cache
         self.machine = machine

@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, Optional
 
+from ..core.options import CompilerOptions
 from ..microkernel.machine import MachineModel
 from ..observability import get_registry, get_tracer
 from ..runtime.partition import CompiledPartition
@@ -105,7 +106,7 @@ class Retuner:
         config: AdaptiveConfig,
         tuning_cache_path: Optional[str] = None,
         tuning_seed: int = 0,
-        executor: str = "compiled",
+        executor: str = CompilerOptions.executor,
     ) -> None:
         self.machine = machine
         self.config = config

@@ -26,19 +26,18 @@ class CompilerOptions:
     enable_buffer_reuse: bool = True
     #: Constant-weight preprocessing (init-graph split + caching).
     enable_constant_cache: bool = True
-    #: Runtime backend executing the lowered Tensor IR.  ``"compiled"``
-    #: specializes the module once into a flat program of pre-bound
-    #: closures (op schemas resolved, slice offsets in closed form,
-    #: constant loop bounds folded, calls pre-linked) executed on a
-    #: persistent thread pool; ``"codegen"`` goes one tier flatter and
-    #: ``exec``-generates one Python code object per Tensor IR function
+    #: Runtime backend executing the lowered Tensor IR.  ``"codegen"``
+    #: ``exec``-generates one Python function per Tensor IR function
     #: (literal loops, inline slice subscripts, locals instead of dict
-    #: environments); ``"interpret"`` re-walks the IR tree on every
-    #: call — slower, but the reference semantics the other executors
-    #: are differential-tested against.  The chosen value folds into
-    #: ``graph_signature``, so partitions compiled under different
-    #: backends never share cache entries.
-    executor: str = "compiled"
+    #: environments, each parallel-loop body emitted once) and runs its
+    #: parallel loops on a persistent thread pool; ``"interpret"``
+    #: re-walks the IR tree on every call — slower, but the reference
+    #: semantics codegen is differential-tested against.  The chosen
+    #: value folds into ``graph_signature`` and ``tuning_key``, so
+    #: partitions and tuning records of different backends never share
+    #: cache entries.  This field is the one place the default backend is
+    #: named; other defaults read ``CompilerOptions.executor``.
+    executor: str = "codegen"
     #: Template-parameter selection: ``"off"`` uses the expert heuristic
     #: only; ``"cached-only"`` serves previously tuned configs but never
     #: searches; ``"model"`` tunes with the analytical cost model;

@@ -1,34 +1,28 @@
 """Runtime: Tensor IR executors, memory arena and compiled partitions.
 
 In the paper, Tensor IR is lowered to LLVM IR plus microkernel calls.
-Here the same Tensor IR is executed by one of three backends:
+Here the same Tensor IR is executed by one of two backends:
 
+* :class:`~repro.runtime.codegen.CodegenExecutor` — the default: each
+  Tensor IR function is ``exec``-generated as one Python function
+  (literal loops, inline slice subscripts, locals instead of environment
+  dicts, each parallel-loop body emitted once and fanned out over a
+  persistent thread pool);
 * :class:`~repro.runtime.interpreter.Interpreter` — the reference
-  backend: walks the statement tree per call;
-* :class:`~repro.runtime.executor.CompiledExecutor` — the default: a
-  one-time specialization pass compiles the module into a flat program
-  of pre-bound closures (op schemas resolved at build time, slice
-  offsets in closed form, constant loop bounds folded, calls pre-linked,
-  per-worker scratch slots) executed on a persistent thread pool;
-* :class:`~repro.runtime.codegen.CodegenExecutor` — the flattest tier:
-  each Tensor IR function is ``exec``-generated as one Python code
-  object (literal loops, inline slice subscripts, locals instead of
-  environment dicts), removing the remaining per-statement dispatch.
+  backend: walks the statement tree per call.
 
 All compiler decisions (fusion, layout, blocking, buffer reuse) are
-taken *before* this stage, so all backends exercise exactly the code
+taken *before* this stage, so both backends exercise exactly the code
 structure the paper generates; the differential tests assert they are
 bit-identical.
 """
 
 from .codegen import CodegenExecutor
-from .executor import CompiledExecutor
 from .interpreter import ExecutionStats, Interpreter
 from .partition import EXECUTOR_BACKENDS, CompiledPartition
 
 __all__ = [
     "CodegenExecutor",
-    "CompiledExecutor",
     "CompiledPartition",
     "EXECUTOR_BACKENDS",
     "ExecutionStats",

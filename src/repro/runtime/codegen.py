@@ -1,9 +1,7 @@
-"""Whole-partition Python codegen executor: one flat code object per function.
+"""The runtime executor: one generated Python function per Tensor IR function.
 
-The closure executor (:mod:`repro.runtime.executor`) removed interpretation
-overhead by pre-binding one closure per statement, but steady state still
-pays a Python call per statement, a dict lookup per tensor/scalar access,
-and a closure call per slice.  This module is the next lowering tier: each
+The paper turns each partition's Tensor IR into one compiled function;
+this module does the same in Python.  Each
 :class:`~repro.tensor_ir.function.TirFunction` is **compiled to Python
 source** and ``exec``-ed into a single flat function —
 
@@ -19,19 +17,25 @@ source** and ``exec``-ed into a single flat function —
 * ufuncs, op references, brgemm helpers and pack geometry are resolved at
   build time into the generated function's globals;
 * ``Call`` statements bind to the sibling generated function;
-* ``Alloc`` sites lower to pre-planned pooled-buffer fetches (sharing
-  :class:`~repro.runtime.executor._AllocSite` free-lists) or arena views;
-* parallel loops emit a chunk function per loop site, submitted to the
-  partition's persistent pool with per-worker thread-local buffer slots.
+* ``Alloc`` sites lower to pre-planned pooled-buffer fetches (per-site
+  free-lists) or arena views;
+* each parallel loop's body is emitted **once**, as a sibling chunk
+  function over a slice of the iteration values.  The serial path calls
+  it on the whole range; the threaded path (:class:`_FanOut`) calls it
+  once per worker on a forked context, with per-worker thread-local
+  buffer slots.  Nested parallel loops inside a chunk decide at run time
+  whether to thread (never inside an already-parallel region), so the
+  generated source stays linear in the IR size.
 
 Generated source is deterministic for a given function and is registered
 with :mod:`linecache` under a synthetic file name, so tracebacks through
-generated code show the real emitted lines.  Set ``REPRO_DUMP_CODEGEN`` to
-a directory (or use ``tools/dump.py --emit-codegen``) to write the sources
+generated code show the real emitted lines; the entries are released when
+the executor is closed or collected.  Set ``REPRO_DUMP_CODEGEN`` to a
+directory (or use ``tools/dump.py --emit-codegen``) to write the sources
 to disk.
 
-Execution semantics are bit-identical to the interpreter and the closure
-executor — the differential tests in ``tests/runtime/`` assert outputs,
+Execution semantics are bit-identical to the interpreter, the reference
+backend — the differential tests in ``tests/runtime/`` assert outputs,
 error messages and :class:`ExecutionStats` all match.
 """
 
@@ -41,7 +45,9 @@ import hashlib
 import linecache
 import os
 import re
+import threading
 import time
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,7 +55,7 @@ import numpy as np
 from ..errors import ExecutionError, TensorIRError
 from ..graph_ir.op_registry import OP_REGISTRY
 from ..observability import get_tracer
-from ..tensor_ir.expr import Binary, Const, Expr, Var, fold
+from ..tensor_ir.expr import Binary, BinaryOp, Const, Expr, Var, fold
 from ..tensor_ir.function import TirFunction
 from ..tensor_ir.module import TirModule
 from ..tensor_ir.stmt import (
@@ -69,15 +75,8 @@ from ..tensor_ir.stmt import (
     Stmt,
     Unpack,
 )
+from ..tensor_ir.visitor import walk
 from .dynamic import bind_shapes, run_pack, run_unpack
-from .executor import (
-    _BIN_FMT,
-    _POOL_DEPTH,
-    _AllocSite,
-    _SpecializationError,
-    _slice_oob,
-    _static_squeeze,
-)
 from .interpreter import ExecutionStats, brgemm_cost_attrs
 
 try:  # numpy >= 2.0
@@ -90,6 +89,23 @@ except ImportError:  # pragma: no cover - depends on numpy version
         # so binding it skips only wrapper overhead — results identical.
         _C_EINSUM = np.einsum
 
+
+#: Buffers at most this large are recycled through per-Alloc free-lists;
+#: larger ones go back to the allocator (``np.zeros`` is calloc-backed and
+#: effectively free for big blocks, while small-buffer churn is not).
+_POOL_MAX_BYTES = 1 << 20
+#: Free-list depth cap per Alloc site / parallel-loop slot pool / arena.
+_POOL_DEPTH = 32
+
+_BIN_FMT = {
+    BinaryOp.ADD: "({} + {})",
+    BinaryOp.SUB: "({} - {})",
+    BinaryOp.MUL: "({} * {})",
+    BinaryOp.FLOORDIV: "({} // {})",
+    BinaryOp.MOD: "({} % {})",
+    BinaryOp.MIN: "min({}, {})",
+    BinaryOp.MAX: "max({}, {})",
+}
 
 #: (ExecutionStats attribute, generated local tally) pairs: pure-sum
 #: counters are accumulated in locals and flushed once per function call
@@ -113,11 +129,132 @@ def _sanitize(name: str) -> str:
     return out
 
 
+class _SpecializationError(Exception):
+    """A statement whose static validation failed; raised at *call* time.
+
+    Build never fails for IR the interpreter would reject at execution:
+    the offending statement is emitted as a ``raise`` of the same error,
+    hit when (and only when) it is actually executed.
+    """
+
+    def __init__(self, exc_type, message):
+        super().__init__(message)
+        self.exc_type = exc_type
+
+
+def _static_squeeze(
+    sizes: Tuple[int, ...], ndim: int, what: str
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Axes to drop (and resulting shape) squeezing ``sizes`` to ``ndim``.
+
+    Mirrors ``Interpreter._squeeze_to`` on the statically-known slice
+    shape: leftmost length-1 dims first.
+    """
+    shape = list(sizes)
+    index = list(range(len(sizes)))
+    axes: List[int] = []
+    while len(shape) > ndim:
+        for pos, extent in enumerate(shape):
+            if extent == 1:
+                axes.append(index[pos])
+                del shape[pos]
+                del index[pos]
+                break
+        else:
+            raise _SpecializationError(
+                ExecutionError,
+                f"{what} has shape {tuple(sizes)}; cannot squeeze to "
+                f"{ndim} dims",
+            )
+    if len(shape) != ndim:
+        raise _SpecializationError(
+            ExecutionError,
+            f"{what} has shape {tuple(sizes)}; expected {ndim} dims",
+        )
+    return tuple(axes), tuple(shape)
+
+
+def _slice_oob(ref_repr: str, off: int, size: int, extent: int) -> None:
+    raise ExecutionError(
+        f"slice {ref_repr} out of bounds: [{off}, {off + size}) "
+        f"not within [0, {extent})"
+    )
+
+
+class _AllocSite:
+    """Build-time record of one Alloc statement, with its buffer pool."""
+
+    __slots__ = (
+        "name",
+        "shape",
+        "np_dtype",
+        "nbytes",
+        "arena_offset",
+        "free_list",
+        "poolable",
+    )
+
+    def __init__(self, stmt: Alloc) -> None:
+        self.name = stmt.tensor
+        self.shape = stmt.shape
+        self.np_dtype = stmt.dtype.to_numpy()
+        count = 1
+        for s in stmt.shape:
+            count *= s
+        self.nbytes = count * self.np_dtype.itemsize
+        self.arena_offset = stmt.arena_offset
+        self.free_list: List[np.ndarray] = []
+        self.poolable = (
+            stmt.arena_offset is None and self.nbytes <= _POOL_MAX_BYTES
+        )
+
+    def take(self) -> np.ndarray:
+        """A zeroed buffer: recycled from the free-list or freshly made."""
+        try:
+            buf = self.free_list.pop()  # list ops are GIL-atomic
+        except IndexError:
+            return np.zeros(self.shape, dtype=self.np_dtype)
+        buf.fill(0)
+        return buf
+
+
+#: Live executors per registered linecache file name (process-wide, like
+#: linecache).  Identical sources share a name, so an entry is evicted
+#: only when its last user releases it.  Re-entrant: a collection that
+#: runs a release finalizer may happen while this thread holds the lock.
+_LINE_REFS: Dict[str, int] = {}
+_LINE_LOCK = threading.RLock()
+
+
+def _register_lines(sources: Dict[str, str]) -> None:
+    """Serve ``sources`` (file name -> text) to tracebacks via linecache."""
+    with _LINE_LOCK:
+        for filename, source in sources.items():
+            _LINE_REFS[filename] = _LINE_REFS.get(filename, 0) + 1
+            linecache.cache[filename] = (
+                len(source),
+                None,
+                source.splitlines(keepends=True),
+                filename,
+            )
+
+
+def _release_lines(filenames: List[str]) -> None:
+    """Drop one reference per name; evict entries nobody uses any more."""
+    with _LINE_LOCK:
+        for filename in filenames:
+            refs = _LINE_REFS.pop(filename, 0) - 1
+            if refs > 0:
+                _LINE_REFS[filename] = refs
+            else:
+                linecache.cache.pop(filename, None)
+
+
 class _RunCtx:
     """Per-call execution state passed to generated functions.
 
-    Unlike the closure executor's ``_Ctx`` there are no tensor/scalar
-    dicts — buffers and scalars are locals of the generated code.
+    There are no tensor/scalar dicts — buffers and scalars are locals of
+    the generated code.
     """
 
     __slots__ = (
@@ -150,6 +287,65 @@ def _fork_ctx(parent: _RunCtx) -> _RunCtx:
     child.arena = parent.arena
     child.machine = parent.machine
     return child
+
+
+class _FanOut:
+    """The threaded half of one parallel-loop site.
+
+    The loop body is emitted once, as a chunk function
+    ``chunk(_ctx, _vals, _fresh, *scope)`` over a slice of the iteration
+    values.  The serial path calls it directly; :meth:`run` splits the
+    values into one contiguous chunk per worker and calls it on the
+    partition's pool, each on a forked context whose stats are merged at
+    the join.  The enclosing function's thread-local buffers (``tl``:
+    scope position -> site) are swapped for per-worker slot buffers,
+    pooled across calls, which the chunk re-zeroes every iteration.
+    """
+
+    __slots__ = ("tl", "slots")
+
+    def __init__(self, tl: List[Tuple[int, _AllocSite]]) -> None:
+        self.tl = tl
+        self.slots: List[List[np.ndarray]] = []
+
+    def _take_slot(self) -> List[np.ndarray]:
+        try:
+            return self.slots.pop()  # list ops are GIL-atomic
+        except IndexError:
+            return [np.empty(s.shape, s.np_dtype) for _, s in self.tl]
+
+    def _chunk(self, parent: _RunCtx, chunk, vals, scope, slot):
+        ctx = _fork_ctx(parent)
+        if slot:
+            scope = list(scope)
+            for (pos, _site), buf in zip(self.tl, slot):
+                scope[pos] = buf
+        chunk(ctx, vals, True, *scope)
+        return ctx.stats
+
+    def run(self, ctx: _RunCtx, chunk, vals, scope: tuple) -> None:
+        n = len(vals)
+        workers = min(ctx.workers, n)
+        slots = [self._take_slot() for _ in range(workers)]
+        try:
+            futures = [
+                ctx.pool.submit(
+                    self._chunk,
+                    ctx,
+                    chunk,
+                    vals[n * w // workers : n * (w + 1) // workers],
+                    scope,
+                    slots[w],
+                )
+                for w in range(workers)
+            ]
+            results = [future.result() for future in futures]
+        finally:
+            while slots and len(self.slots) < _POOL_DEPTH:
+                self.slots.append(slots.pop())
+        stats = ctx.stats
+        for child in results:
+            stats.merge(child)
 
 
 class _NullSpan:
@@ -199,6 +395,9 @@ class _FunctionEmitter:
         self.buffer_scope: Dict[str, str] = {}
         #: Scalars currently bound as locals (loop vars + assigns).
         self.scalar_scope: Dict[str, str] = {}
+        #: Static value range (lo, hi) of scalars known at this point:
+        #: loop vars with constant bounds and assigns over them.
+        self.ranges: Dict[str, Tuple[int, int]] = {}
         self._buffer_idents: Dict[str, str] = {}
         self._scalar_idents: Dict[str, str] = {}
         self._used: set = set()
@@ -210,7 +409,6 @@ class _FunctionEmitter:
             "_TensorIRError": TensorIRError,
             "_oob": _slice_oob,
             "_NULL": _NULL_SPAN,
-            "_fork": _fork_ctx,
             "_lead_squeeze": _lead_squeeze,
             "_asarray": np.asarray,
             "_zeros": np.zeros,
@@ -323,6 +521,56 @@ class _FunctionEmitter:
             )
         raise TensorIRError(f"cannot compile expression {expr!r}")
 
+    def value_range(self, expr: Expr) -> Optional[Tuple[int, int]]:
+        """Inclusive static bounds of a folded expression, if provable."""
+        if isinstance(expr, Const):
+            return expr.value, expr.value
+        if isinstance(expr, Var):
+            return self.ranges.get(expr.name)
+        if not isinstance(expr, Binary):
+            return None
+        lhs = self.value_range(expr.lhs)
+        rhs = self.value_range(expr.rhs)
+        if lhs is None or rhs is None:
+            return None
+        (a, b), (c, d) = lhs, rhs
+        op = expr.op
+        if op is BinaryOp.ADD:
+            return a + c, b + d
+        if op is BinaryOp.SUB:
+            return a - d, b - c
+        if op is BinaryOp.MUL:
+            products = (a * c, a * d, b * c, b * d)
+            return min(products), max(products)
+        if op is BinaryOp.MIN:
+            return min(a, c), min(b, d)
+        if op is BinaryOp.MAX:
+            return max(a, c), max(b, d)
+        if c == d and c > 0:  # floordiv / mod by a positive constant
+            if op is BinaryOp.FLOORDIV:
+                return a // c, b // c
+            if op is BinaryOp.MOD:
+                return (a, b) if 0 <= a and b < c else (0, c - 1)
+        return None
+
+    def enter_loop(self, stmt: For) -> Dict[str, Tuple[int, int]]:
+        """Set the range facts of a loop body; returns those after it.
+
+        Scalars assigned anywhere in the body lose their ranges (a read
+        may see another iteration's value), and the loop var gets its
+        constant bounds, if any.
+        """
+        assigned = {s.var for s in walk(stmt.body) if isinstance(s, Assign)}
+        assigned.add(stmt.var)
+        after = {k: v for k, v in self.ranges.items() if k not in assigned}
+        self.ranges = dict(after)
+        begin, end, step = fold(stmt.begin), fold(stmt.end), fold(stmt.step)
+        if all(isinstance(e, Const) for e in (begin, end, step)):
+            trips = range(begin.value, end.value, step.value)
+            if trips:
+                self.ranges[stmt.var] = trips[0], trips[-1]
+        return after
+
     # -- slices ----------------------------------------------------------------
 
     def _slice_extents(self, ref: SliceRef) -> Tuple[int, ...]:
@@ -419,12 +667,21 @@ class _FunctionEmitter:
                     consts.append(slice(const, const + size))
             else:
                 src = self.expr_src(folded)
-                o = self.temp("o")
-                self.emit(f"{o} = {src}")
-                self.emit(f"if {o} < 0 or {o} + {size} > {extent}:")
-                self.emit(
-                    f"    _oob({repr(ref)!r}, {o}, {size}, {extent})"
-                )
+                bounds = self.value_range(folded)
+                if isinstance(folded, Var) and bounds is not None:
+                    o = src
+                else:
+                    o = self.temp("o")
+                    self.emit(f"{o} = {src}")
+                if not (
+                    bounds is not None
+                    and bounds[0] >= 0
+                    and bounds[1] + size <= extent
+                ):
+                    self.emit(f"if {o} < 0 or {o} + {size} > {extent}:")
+                    self.emit(
+                        f"    _oob({repr(ref)!r}, {o}, {size}, {extent})"
+                    )
                 parts.append(
                     o if axis in squeeze_axes else f"{o}:{o} + {size}"
                 )
@@ -499,9 +756,15 @@ class _FunctionEmitter:
             self.emit(f"raise {cls}({str(exc)!r})")
 
     def _emit_assign(self, stmt: Assign) -> None:
-        src = self.expr_src(fold(stmt.value))
+        value = fold(stmt.value)
+        src = self.expr_src(value)
         ident = self.scalar_ident(stmt.var)
         self.scalar_scope[stmt.var] = ident
+        bounds = self.value_range(value)
+        if bounds is None:
+            self.ranges.pop(stmt.var, None)
+        else:
+            self.ranges[stmt.var] = bounds
         self.emit(f"{ident} = {src}")
 
     def _emit_alloc(self, stmt: Alloc) -> None:
@@ -611,7 +874,7 @@ class _FunctionEmitter:
     def _emit_copy(self, stmt: Copy) -> None:
         if not (stmt.dst.is_static and stmt.src.is_static):
             # Runtime extents: validate and reshape against the resolved
-            # views, exactly as the other backends do.
+            # views, exactly as the interpreter does.
             dst = self.emit_slice(stmt.dst)
             src = self.emit_slice(stmt.src)
             self.emit(f"_d = {dst}")
@@ -643,9 +906,9 @@ class _FunctionEmitter:
         dst_ndim = len(stmt.dst.sizes)
         dst_static = stmt.dst.is_static
         attrs = {k: v for k, v in stmt.attrs.items() if k != "accumulate"}
-        # Static validation in the same order as the closure executor
-        # (dst slice, accumulate mode, then each source), so the same
-        # broken IR produces the same first error message.
+        # Static validation in a fixed order (dst slice, accumulate mode,
+        # then each source), so the same broken IR always produces the
+        # same first error message.
         self.validate_slice(stmt.dst)
         acc_op = stmt.attrs.get("accumulate")
         if acc_op and acc_op not in (True, "add", "max"):
@@ -722,8 +985,8 @@ class _FunctionEmitter:
             )
         else:
             # Assignment broadcasts and casts in one pass — same values
-            # as the closure executor's broadcast_to(...).astype(...)
-            # without materializing the intermediate copy.
+            # as the interpreter's broadcast_to(...).astype(...) without
+            # materializing the intermediate copy.
             self.emit("_d[...] = _r")
 
     def _emit_traced_body(self, body: List[str], span: str) -> None:
@@ -1045,27 +1308,34 @@ class _FunctionEmitter:
             rng = self._loop_range(stmt)
             var = self.scalar_ident(stmt.var)
             self.scalar_scope[stmt.var] = var
-            self.emit(f"for {var} in {rng}:")
-            self._indent += 1
+            after = self.enter_loop(stmt)
+            lo_hi = self.ranges.get(stmt.var)
+            single = lo_hi is not None and lo_hi[0] == lo_hi[1]
+            if single:  # one trip: bind the var, no loop
+                self.emit(f"{var} = {lo_hi[0]!r}")
+            else:
+                self.emit(f"for {var} in {rng}:")
+                self._indent += 1
             self.depth += 1
             self.emit_body(stmt.body)
-            self._indent -= 1
+            self.ranges = after
             self.depth -= 1
+            if not single:
+                self._indent -= 1
             return
 
-        # Scope captured before the loop var joins it: everything the
-        # chunk function needs is passed positionally.
-        scalar_args = list(self.scalar_scope.values())
-        buffer_args = list(self.buffer_scope.values())
-        tl_sites = [
+        # Everything bound before the loop var joins the scope may be
+        # passed to the chunk function, positionally.
+        outer = list(self.scalar_scope.values()) + list(
+            self.buffer_scope.values()
+        )
+        outer_tl = [
             (self.buffer_scope[name], site)
             for name, site in self.tl_live.items()
             if name in self.buffer_scope
         ]
-        extra = scalar_args + buffer_args
-        extra_sig = (", " + ", ".join(extra)) if extra else ""
         pid = self.temp("p")
-
+        chunk = f"_chunk{pid}"
         self.count("parallel_loops")
         rng = self._loop_range(stmt)
         v = f"_vals{pid}"
@@ -1075,131 +1345,87 @@ class _FunctionEmitter:
             f"{th} = _ctx.pool is not None and len({v}) > 1 "
             f"and not _ctx.in_parallel"
         )
+
+        # The chunk function is its own code region: allocs inherited
+        # from the enclosing function are neither re-freed nor recycled
+        # here, and its counters flush into whichever context it runs on
+        # (the caller's when serial, a forked one per worker).  Its body
+        # is emitted first, so only the enclosing locals it references
+        # become parameters.
+        state0 = self._snapshot()
+        saved = (
+            self._buf,
+            self._indent,
+            self._counters,
+            self.region,
+            self.depth,
+        )
+        self._buf, self._indent, self._counters = [], 2, set()
+        self.region = self._next_region
+        self._next_region += 1
+        self.depth = 2
+        var = self.scalar_ident(stmt.var)
+        self.scalar_scope[stmt.var] = var
+        after = self.enter_loop(stmt)
+        self.emit_body(stmt.body)
+        self.ranges = after
+        body = self._buf
+        used = set(re.findall(r"\w+", "\n".join(body)))
+        scope = [ident for ident in outer if ident in used]
+        # Thread-local buffers live at the loop: swapped for per-worker
+        # slots when threaded, which get fresh zeroed scratch per
+        # iteration, as the interpreter's per-iteration frame fork does.
+        tl = [
+            (scope.index(ident), site)
+            for ident, site in outer_tl
+            if ident in used
+        ]
+        self._buf, self._indent = [], 0
+        sig = ", ".join(["_ctx", "_vals", "_fresh"] + scope)
+        self.emit(f"def {chunk}({sig}):")
+        self.emit("    _stats = _ctx.stats")
+        self.emit("    _tr = _ctx.tracer")
+        init = self.counter_init_line()
+        if init:
+            self.emit("    " + init)
+        self.emit(f"    for {var} in _vals:")
+        if tl:
+            self.emit("        if _fresh:")
+            for pos, _site in tl:
+                self.emit(f"            {scope[pos]}.fill(0)")
+        self._buf.extend(body)
+        self._indent = 1
+        self.emit_counter_flush()
+        self._tail.append(self._buf)
+        (
+            self._buf,
+            self._indent,
+            self._counters,
+            self.region,
+            self.depth,
+        ) = saved
+        # Post-loop scope is the *pre*-loop scope: nothing bound only
+        # inside the body may be referenced by emitted code after the
+        # loop — exactly the guarantee well-formed IR relies on.
+        self._restore(state0)
+
+        fan = self.bind("fan", _FanOut(tl))
         span = (
             f"_tr.span({'parallel_for:' + stmt.var!r}, "
             f"category='runtime', trips=len({v}), threaded={th})"
         )
+        args = "".join(f", {ident}" for ident in scope)
+        packed = f"({args[2:]},)" if scope else "()"
         self.emit(f"with ({span} if _tr is not None else _NULL):")
-        self._indent += 1
-        self.emit(f"if {th}:")
-        self.emit(f"    _par{pid}(_ctx, {v}{extra_sig})")
-        self.emit("else:")
-        self._indent += 1
-        state0 = self._snapshot()
-        var = self.scalar_ident(stmt.var)
-        self.scalar_scope[stmt.var] = var
-        self.emit(f"for {var} in {v}:")
-        self._indent += 1
-        self.depth += 1
-        self.emit_body(stmt.body)
-        self._indent -= 2
-        self.depth -= 1
-        self._indent -= 1
-
-        # Sibling functions: the per-worker slot maker, the fan-out
-        # driver, and the chunk body (its own code region: fresh child
-        # stats, in_parallel set, inherited allocs are not re-freed).
-        sp = self.bind("sp", [])
-        saved_buf, saved_indent = self._buf, self._indent
-        self._buf, self._indent = [], 0
-
-        self.emit(f"def _mkslot{pid}():")
-        if tl_sites:
-            items = ", ".join(
-                f"{ident!r}: _empty({site.shape!r}, "
-                f"{self.bind('dt', site.np_dtype)})"
-                for ident, site in tl_sites
-            )
-            self.emit(f"    return {{{items}}}")
-        else:
-            self.emit("    return {}")
-        self._tail.append(self._buf)
-
-        self._buf = []
-        self.emit(f"def _par{pid}(_ctx, _vals{extra_sig}):")
-        self._indent += 1
-        self.emit("_n = len(_vals)")
-        self.emit("_workers = min(_ctx.workers, _n)")
-        self.emit(
-            "_bounds = [(_n * _w // _workers, _n * (_w + 1) // _workers)"
-            " for _w in range(_workers)]"
-        )
-        self.emit("_slots = []")
-        self.emit("for _w in range(_workers):")
-        self.emit("    try:")
-        self.emit(f"        _slots.append({sp}.pop())")
-        self.emit("    except IndexError:")
-        self.emit(f"        _slots.append(_mkslot{pid}())")
-        self.emit("try:")
-        extra_call = (", " + ", ".join(extra)) if extra else ""
-        self.emit(
-            f"    _futs = [_ctx.pool.submit(_chunk{pid}, _ctx, _vals, "
-            f"_bounds[_w][0], _bounds[_w][1], _slots[_w]{extra_call}) "
-            f"for _w in range(_workers)]"
-        )
-        self.emit("    _res = [_f.result() for _f in _futs]")
-        self.emit("finally:")
-        self.emit(
-            f"    while _slots and len({sp}) < {_POOL_DEPTH}:"
-        )
-        self.emit(f"        {sp}.append(_slots.pop())")
-        self.emit("_st = _ctx.stats")
-        self.emit("for _cs in _res:")
-        self.emit("    _st.merge(_cs)")
-        self._indent -= 1
-        self._tail.append(self._buf)
-
-        self._buf = []
-        self._restore(state0)
-        saved_region, saved_depth = self.region, self.depth
-        saved_counters = self._counters
-        self._counters = set()
-        self.region = self._next_region
-        self._next_region += 1
-        self.depth = 1
-        self.emit(
-            f"def _chunk{pid}(_pctx, _vals, _lo, _hi, _slot{extra_sig}):"
-        )
-        self._indent += 1
-        self.emit("_ctx = _fork(_pctx)")
-        self.emit("_stats = _ctx.stats")
-        self.emit("_tr = _ctx.tracer")
-        cmark = len(self._buf)
-        for ident, _site in tl_sites:
-            self.emit(f"{ident} = _slot[{ident!r}]")
-        var = self.scalar_ident(stmt.var)
-        self.scalar_scope[stmt.var] = var
-        self.emit(f"for {var} in _vals[_lo:_hi]:")
-        self._indent += 1
-        self.depth += 1
-        for ident, _site in tl_sites:
-            # Fresh zeroed scratch per iteration, as _Frame.fork
-            # provides — but into reused slot storage.
-            self.emit(f"{ident}.fill(0)")
-        self.emit_body(stmt.body)
-        self._indent -= 1
-        self.depth -= 1
-        init = self.counter_init_line()
-        if init:
-            self._buf.insert(cmark, "    " + init)
-        self.emit_counter_flush()
-        self.emit("return _stats")
-        self._indent -= 1
-        self._tail.append(self._buf)
-
-        self._counters = saved_counters
-        self.region, self.depth = saved_region, saved_depth
-        self._buf, self._indent = saved_buf, saved_indent
-        # Post-loop scope is the *pre*-loop scope: whether loop-body
-        # assignments/allocs persist depends on the serial-vs-threaded
-        # runtime choice (chunks copy the environment), so nothing bound
-        # only inside the body may be referenced by emitted code after
-        # the loop — exactly the guarantee well-formed IR relies on.
-        self._restore(state0)
+        self.emit(f"    if {th}:")
+        self.emit(f"        {fan}.run(_ctx, {chunk}, {v}, {packed})")
+        self.emit("    else:")
+        self.emit(f"        {chunk}(_ctx, {v}, False{args})")
 
     # -- entry -----------------------------------------------------------------
 
-    def emit_function(self) -> str:
+    def emit_function(self) -> List[str]:
+        """The function's source as top-level blocks: entry, then chunks."""
         params = []
         for p in self.func.params:
             ident = self.buffer_ident(p.name)
@@ -1234,16 +1460,17 @@ class _FunctionEmitter:
             self._buf.insert(mark, "    " + init)
         self.emit_counter_flush()
         blocks = [head + self._buf] + self._tail
-        return "\n".join("\n".join(block) + "\n" for block in blocks)
+        return ["\n".join(block) + "\n" for block in blocks]
 
 
 class CodegenExecutor:
     """A whole-program codegen executor for one Tensor IR module.
 
     Built once per :class:`~repro.runtime.partition.CompiledPartition`
-    when ``CompilerOptions.executor="codegen"``; ``run`` is thread-safe
-    (each call gets a private context; buffer, slot and arena free-lists
-    are GIL-atomic).
+    (the default ``CompilerOptions.executor="codegen"``); ``run`` is
+    thread-safe (each call gets a private context; buffer, slot and arena
+    free-lists are GIL-atomic).  ``close`` (or garbage collection)
+    releases the generated sources' linecache entries.
     """
 
     def __init__(
@@ -1264,21 +1491,20 @@ class CodegenExecutor:
         pending = []
         for name, func in module.functions.items():
             emitter = _FunctionEmitter(self, func)
-            source = emitter.emit_function()
+            blocks = emitter.emit_function()
+            source = "".join(blocks)
             self.sources[name] = source
             digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:8]
             filename = f"<repro-codegen:{_sanitize(name)}:{digest}>"
             self.filenames[name] = filename
-            # Register with linecache so tracebacks through generated
-            # code show the emitted lines.
-            linecache.cache[filename] = (
-                len(source),
-                None,
-                source.splitlines(keepends=True),
-                filename,
-            )
-            code = compile(source, filename, "exec")
-            exec(code, emitter.env)  # noqa: S102 - build-time codegen
+            # One compile per top-level block keeps the parser's transient
+            # memory proportional to the largest block, not the whole
+            # source; leading newlines keep line numbers file-relative.
+            line = 0
+            for block in blocks:
+                code = compile("\n" * line + block, filename, "exec")
+                exec(code, emitter.env)  # noqa: S102 - build-time codegen
+                line += block.count("\n")
             self._fns[name] = emitter.env[emitter.entry_ident]
             pending.append((emitter.env, emitter.callees))
         # Two-phase build: every function object exists before Call sites
@@ -1286,12 +1512,26 @@ class CodegenExecutor:
         for env, callees in pending:
             for callee, ident in callees.items():
                 env[ident] = self._fns[callee]
+        # Register with linecache so tracebacks through generated code
+        # show the emitted lines, until this executor is closed or
+        # collected.
+        named = {self.filenames[n]: src for n, src in self.sources.items()}
+        _register_lines(named)
+        self._release = weakref.finalize(self, _release_lines, list(named))
         dump_dir = os.environ.get("REPRO_DUMP_CODEGEN")
         if dump_dir:
             try:
                 self.dump_sources(dump_dir)
             except OSError:
                 pass  # diagnostics must never fail an execution path
+
+    def close(self) -> None:
+        """Release the linecache entries (idempotent).
+
+        The executor still runs afterwards; only tracebacks through it
+        lose their source lines.
+        """
+        self._release()
 
     def source_for(self, name: str) -> str:
         try:
@@ -1361,8 +1601,8 @@ class CodegenExecutor:
             arena = self._take_arena()
             ctx.arena = arena
         try:
-            # One errstate for the whole program, as in both other
-            # backends: padded lanes are cropped before becoming visible.
+            # One errstate for the whole program, as in the interpreter:
+            # padded lanes are cropped before becoming visible.
             with np.errstate(
                 over="ignore", invalid="ignore", divide="ignore"
             ):

@@ -3,8 +3,7 @@
 A dynamic partition is compiled once with a :class:`~repro.graph_ir.symbolic.SymDim`
 leading batch dim; its Tensor IR declares that dim as a free ``Var``.  At
 call time every executor performs the same three steps, centralized here so
-the interpreter, the closure executor, and the exec-codegen backend cannot
-drift:
+the interpreter and the exec-codegen backend cannot drift:
 
 * :func:`bind_shapes` — derive the concrete value of each symbolic dim from
   the runtime arrays (and validate every static dim exactly);
@@ -12,7 +11,7 @@ drift:
 * :func:`run_pack` / :func:`run_unpack` — layout conversion with runtime
   geometry (block counts from the actual buffers, zero-padded tails,
   cropped outputs).  These are the reference semantics the interpreter
-  always had; the compiled backends fall back to them for statements whose
+  always had; the codegen backend falls back to them for statements whose
   extents are only known at run time.
 """
 

@@ -1,1361 +1,9 @@
-"""Specializing Tensor IR executor: compile-once closure programs.
+"""Compatibility name for the runtime executor.
 
-The interpreter (:mod:`repro.runtime.interpreter`) re-walks the statement
-tree on every call: per-statement ``isinstance`` dispatch, per-slice
-``evaluate()`` of offset expressions, a stats lock around every counter.
-That is the right shape for a *reference* backend, but the paper's premise
-is that compilation cost is paid once and steady-state execution is as
-fast as the hardware allows.
-
-This module adds the missing second stage: a one-time specialization pass
-that compiles a :class:`~repro.tensor_ir.module.TirModule` into a flat
-program of pre-bound Python closures, one per statement:
-
-* **op schemas are resolved at build time** — no registry lookup per call;
-* **slice offsets** (affine in the loop variables) are compiled to
-  closed-form index functions via generated Python source, with constant
-  offsets folded into prebuilt ``slice`` tuples and bounds validated
-  statically against the declared buffer shapes;
-* **constant loop bounds are folded** into prebuilt ``range`` objects;
-* **``Call`` statements are pre-linked** to their callee programs;
-* **per-iteration frame forks are replaced** by preplanned per-worker
-  thread-local buffer slots, reused across iterations and calls;
-* **temporary buffers are pooled** per ``Alloc`` site (a free-list fed by
-  the matching ``Free``), and the buffer-reuse arena is pooled per call;
-* **execution stats are lock-free**: serial code increments plain
-  counters, parallel chunks accumulate into per-thread
-  :class:`ExecutionStats` merged at the join.
-
-Execution semantics are bit-identical to the interpreter — the
-differential tests in ``tests/runtime/test_executor.py`` assert it — and
-the interpreter remains the reference backend, selected via
-``CompilerOptions.executor``.
+The closure executor that used to live here was replaced by
+:class:`~repro.runtime.codegen.CodegenExecutor`.  The repository
+benchmark (``perfbench/layers.py``) imports ``CompiledExecutor`` from
+this module to time executor builds, so the name stays as an alias.
 """
 
-from __future__ import annotations
-
-import time
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
-
-from ..errors import ExecutionError, TensorIRError
-from ..graph_ir.op_registry import OP_REGISTRY
-from ..observability import get_tracer
-from ..tensor_ir.expr import Binary, BinaryOp, Const, Expr, Var, as_expr, fold
-from ..tensor_ir.function import TirFunction
-from ..tensor_ir.module import TirModule
-from .dynamic import bind_shapes, run_pack, run_unpack
-from ..tensor_ir.stmt import (
-    Alloc,
-    Assign,
-    Barrier,
-    BrgemmCall,
-    Call,
-    Compute,
-    Copy,
-    Fill,
-    For,
-    Free,
-    Pack,
-    Seq,
-    SliceRef,
-    Stmt,
-    Unpack,
-)
-from .interpreter import ExecutionStats, brgemm_cost_attrs
-
-#: Buffers at most this large are recycled through per-Alloc free-lists;
-#: larger ones go back to the allocator (``np.zeros`` is calloc-backed and
-#: effectively free for big blocks, while small-buffer churn is not).
-_POOL_MAX_BYTES = 1 << 20
-#: Free-list depth cap per Alloc site / parallel-loop slot pool.
-_POOL_DEPTH = 32
-
-
-# -- scalar expression compilation --------------------------------------------
-
-_BIN_FMT = {
-    BinaryOp.ADD: "({} + {})",
-    BinaryOp.SUB: "({} - {})",
-    BinaryOp.MUL: "({} * {})",
-    BinaryOp.FLOORDIV: "({} // {})",
-    BinaryOp.MOD: "({} % {})",
-    BinaryOp.MIN: "min({}, {})",
-    BinaryOp.MAX: "max({}, {})",
-}
-
-
-def expr_source(expr: Expr) -> str:
-    """Python source of a scalar expression over the env dict ``s``."""
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return f"s[{expr.name!r}]"
-    if isinstance(expr, Binary):
-        return _BIN_FMT[expr.op].format(
-            expr_source(expr.lhs), expr_source(expr.rhs)
-        )
-    raise TensorIRError(f"cannot compile expression {expr!r}")
-
-
-_EXPR_GLOBALS = {"__builtins__": {}, "min": min, "max": max}
-
-
-def compile_scalar(expr: Expr) -> Tuple[Optional[int], Optional[Callable]]:
-    """Compile an expression to ``(constant, None)`` or ``(None, fn)``.
-
-    The returned ``fn`` maps a scalar environment dict to an int in one
-    bytecode evaluation — no tree walk, no isinstance dispatch.
-    """
-    folded = fold(expr)
-    if isinstance(folded, Const):
-        return folded.value, None
-    source = expr_source(folded)
-    return None, eval(f"lambda s: {source}", dict(_EXPR_GLOBALS))
-
-
-# -- static shape helpers -----------------------------------------------------
-
-
-class _SpecializationError(Exception):
-    """A statement whose static validation failed; raised at *call* time.
-
-    Build never fails for IR the interpreter would reject at execution:
-    the offending statement compiles to a closure that raises the same
-    error when (and only when) it is actually executed.
-    """
-
-    def __init__(self, exc_type, message):
-        super().__init__(message)
-        self.exc_type = exc_type
-
-
-def _static_squeeze(
-    sizes: Tuple[int, ...], ndim: int, what: str
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Axes to drop (and resulting shape) squeezing ``sizes`` to ``ndim``.
-
-    Mirrors ``Interpreter._squeeze_to`` on the statically-known slice
-    shape: leftmost length-1 dims first.
-    """
-    shape = list(sizes)
-    index = list(range(len(sizes)))
-    axes: List[int] = []
-    while len(shape) > ndim:
-        for pos, extent in enumerate(shape):
-            if extent == 1:
-                axes.append(index[pos])
-                del shape[pos]
-                del index[pos]
-                break
-        else:
-            raise _SpecializationError(
-                ExecutionError,
-                f"{what} has shape {tuple(sizes)}; cannot squeeze to "
-                f"{ndim} dims",
-            )
-    if len(shape) != ndim:
-        raise _SpecializationError(
-            ExecutionError,
-            f"{what} has shape {tuple(sizes)}; expected {ndim} dims",
-        )
-    return tuple(axes), tuple(shape)
-
-
-def _raiser(exc_type, message: str) -> Callable:
-    """A program step that fails exactly like the interpreter would."""
-
-    def run(ctx) -> None:
-        raise exc_type(message)
-
-    return run
-
-
-def _slice_oob(ref_repr: str, off: int, size: int, extent: int) -> None:
-    raise ExecutionError(
-        f"slice {ref_repr} out of bounds: [{off}, {off + size}) "
-        f"not within [0, {extent})"
-    )
-
-
-# -- execution state ----------------------------------------------------------
-
-
-class _Ctx:
-    """Per-call execution state threaded through the compiled closures."""
-
-    __slots__ = (
-        "tensors",
-        "scalars",
-        "alloc_bytes",
-        "stats",
-        "pool",
-        "workers",
-        "in_parallel",
-        "tracer",
-        "arena",
-        "machine",
-    )
-
-    def __init__(self) -> None:
-        self.tensors: Dict[str, np.ndarray] = {}
-        self.scalars: Dict[str, int] = {}
-        self.alloc_bytes: Dict[str, int] = {}
-        self.stats = ExecutionStats()
-        self.pool = None
-        self.workers = 1
-        self.in_parallel = False
-        self.tracer = None
-        self.arena: Optional[np.ndarray] = None
-        self.machine = None
-
-
-class _AllocSite:
-    """Compile-time record of one Alloc statement, with its buffer pool."""
-
-    __slots__ = (
-        "name",
-        "shape",
-        "np_dtype",
-        "nbytes",
-        "thread_local",
-        "arena_offset",
-        "free_list",
-        "poolable",
-    )
-
-    def __init__(self, stmt: Alloc) -> None:
-        self.name = stmt.tensor
-        self.shape = stmt.shape
-        self.np_dtype = stmt.dtype.to_numpy()
-        count = 1
-        for s in stmt.shape:
-            count *= s
-        self.nbytes = count * self.np_dtype.itemsize
-        self.thread_local = stmt.thread_local
-        self.arena_offset = stmt.arena_offset
-        self.free_list: List[np.ndarray] = []
-        self.poolable = (
-            stmt.arena_offset is None and self.nbytes <= _POOL_MAX_BYTES
-        )
-
-    def take(self) -> np.ndarray:
-        """A zeroed buffer: recycled from the free-list or freshly made."""
-        try:
-            buf = self.free_list.pop()  # list ops are GIL-atomic
-        except IndexError:
-            return np.zeros(self.shape, dtype=self.np_dtype)
-        buf.fill(0)
-        return buf
-
-
-class _Program:
-    """Compiled form of one Tensor IR function: a flat list of closures."""
-
-    __slots__ = ("func", "steps")
-
-    def __init__(self, func: TirFunction) -> None:
-        self.func = func
-        self.steps: List[Callable[[_Ctx], None]] = []
-
-
-# -- the specializer ----------------------------------------------------------
-
-
-class _FunctionCompiler:
-    """Compiles one function's statement tree into a closure program."""
-
-    def __init__(
-        self, executor: "CompiledExecutor", func: TirFunction
-    ) -> None:
-        self.executor = executor
-        self.func = func
-        #: Static buffer shape per name (params + local allocs): the basis
-        #: for build-time bounds checks and squeeze planning.
-        self.shapes: Dict[str, Tuple[int, ...]] = {
-            p.name: tuple(p.shape) for p in func.params
-        }
-        self.dtypes: Dict[str, np.dtype] = {
-            p.name: p.dtype.to_numpy() for p in func.params
-        }
-        for name, alloc in func.local_decls().items():
-            self.shapes[name] = tuple(alloc.shape)
-            self.dtypes[name] = alloc.dtype.to_numpy()
-        self.alloc_sites: Dict[str, _AllocSite] = {}
-        #: Thread-local allocs live at the current compile point — the
-        #: preplanned slot set for parallel loops encountered here.
-        self.tl_live: Dict[str, _AllocSite] = {}
-
-    def compile(self) -> List[Callable]:
-        return self._compile_block(self.func.body)
-
-    # -- statement dispatch (happens ONCE, at build time) ---------------------
-
-    def _compile_block(self, stmt: Stmt) -> List[Callable]:
-        """Flatten a statement (tree) into a closure list."""
-        if isinstance(stmt, Seq):
-            steps: List[Callable] = []
-            for child in stmt.body:
-                steps.extend(self._compile_block(child))
-            return steps
-        return [self._compile_stmt(stmt)]
-
-    def _compile_stmt(self, stmt: Stmt) -> Callable:
-        try:
-            if isinstance(stmt, For):
-                return self._compile_for(stmt)
-            if isinstance(stmt, Assign):
-                return self._compile_assign(stmt)
-            if isinstance(stmt, Alloc):
-                return self._compile_alloc(stmt)
-            if isinstance(stmt, Free):
-                return self._compile_free(stmt)
-            if isinstance(stmt, Fill):
-                return self._compile_fill(stmt)
-            if isinstance(stmt, Compute):
-                return self._compile_compute(stmt)
-            if isinstance(stmt, Copy):
-                return self._compile_copy(stmt)
-            if isinstance(stmt, Pack):
-                return self._compile_pack(stmt)
-            if isinstance(stmt, Unpack):
-                return self._compile_unpack(stmt)
-            if isinstance(stmt, BrgemmCall):
-                return self._compile_brgemm(stmt)
-            if isinstance(stmt, Call):
-                return self._compile_call(stmt)
-            if isinstance(stmt, Barrier):
-                return self._compile_barrier(stmt)
-        except _SpecializationError as exc:
-            return _raiser(exc.exc_type, str(exc))
-        return _raiser(
-            TensorIRError, f"unknown statement {type(stmt).__name__}"
-        )
-
-    # -- slices ----------------------------------------------------------------
-
-    def _compile_slice(self, ref: SliceRef) -> Callable:
-        """Compile a SliceRef to ``fn(tensors, scalars) -> ndarray``."""
-        name = ref.tensor
-        extents = self.shapes.get(name)
-        if extents is None:
-            raise _SpecializationError(
-                ExecutionError, f"unknown tensor {name!r} in slice"
-            )
-        if len(ref.offsets) != len(extents):
-            raise _SpecializationError(
-                ExecutionError,
-                f"slice {ref!r} has {len(ref.offsets)} dims, tensor "
-                f"{name} has {len(extents)}",
-            )
-        parts: List[Tuple[Optional[int], Optional[str]]] = []
-        dynamic = False
-        for off_expr, size, extent in zip(ref.offsets, ref.sizes, extents):
-            const, fn = compile_scalar(off_expr)
-            static_dim = not isinstance(size, Expr) and not isinstance(
-                extent, Expr
-            )
-            if const is not None and static_dim:
-                if const < 0 or const + size > extent:
-                    raise _SpecializationError(
-                        ExecutionError,
-                        f"slice {ref!r} out of bounds: "
-                        f"[{const}, {const + size}) not within "
-                        f"[0, {extent})",
-                    )
-                parts.append((const, None))
-            else:
-                dynamic = True
-                off_src = (
-                    repr(const)
-                    if const is not None
-                    else expr_source(fold(off_expr))
-                )
-                parts.append((None, off_src))
-        if not dynamic:
-            index = tuple(
-                slice(c, c + s) for (c, _), s in zip(parts, ref.sizes)
-            )
-
-            def run(t, s, _n=name, _i=index):
-                return t[_n][_i]
-
-            return run
-        # Dynamic offsets (or runtime sizes/extents): generate one
-        # closed-form index function.  Symbolic extents are read off the
-        # actual array — the declared Expr and the runtime shape agree by
-        # the caller's shape binding.
-        ref_repr = repr(ref)
-        lines = ["def _slice_fn(t, s):", f"    a = t[{name!r}]"]
-        env: Dict[str, object] = {
-            "__builtins__": {},
-            "min": min,
-            "max": max,
-            "_oob": _slice_oob,
-            "_ref": ref_repr,
-        }
-        index_srcs: List[str] = []
-        for i, ((const, src), size, extent) in enumerate(
-            zip(parts, ref.sizes, extents)
-        ):
-            if const is not None:
-                env[f"_c{i}"] = slice(const, const + size)
-                index_srcs.append(f"_c{i}")
-            else:
-                size_src = (
-                    expr_source(fold(size))
-                    if isinstance(size, Expr)
-                    else repr(size)
-                )
-                extent_src = (
-                    f"a.shape[{i}]" if isinstance(extent, Expr) else repr(extent)
-                )
-                lines.append(f"    o{i} = {src}")
-                lines.append(f"    z{i} = {size_src}")
-                lines.append(
-                    f"    if o{i} < 0 or o{i} + z{i} > {extent_src}:"
-                )
-                lines.append(
-                    f"        _oob(_ref, o{i}, z{i}, {extent_src})"
-                )
-                index_srcs.append(f"slice(o{i}, o{i} + z{i})")
-        env["slice"] = slice
-        lines.append(f"    return a[({', '.join(index_srcs)},)]")
-        exec("\n".join(lines), env)  # noqa: S102 - compile-time codegen
-        return env["_slice_fn"]
-
-    # -- leaf statements -------------------------------------------------------
-
-    def _compile_assign(self, stmt: Assign) -> Callable:
-        var = stmt.var
-        const, fn = compile_scalar(stmt.value)
-        if fn is None:
-
-            def run(ctx, _v=const):
-                ctx.scalars[var] = _v
-
-        else:
-
-            def run(ctx):
-                s = ctx.scalars
-                s[var] = fn(s)
-
-        return run
-
-    def _compile_alloc(self, stmt: Alloc) -> Callable:
-        if not stmt.is_static:
-            return self._compile_dynamic_alloc(stmt)
-        site = _AllocSite(stmt)
-        self.alloc_sites[stmt.tensor] = site
-        if stmt.thread_local:
-            self.tl_live[stmt.tensor] = site
-        name, nbytes = site.name, site.nbytes
-        is_arena = site.arena_offset is not None
-        if is_arena:
-            offset = site.arena_offset
-            shape, np_dtype = site.shape, site.np_dtype
-
-            def make(ctx):
-                arena = ctx.arena
-                if arena is None:
-                    return np.zeros(shape, dtype=np_dtype)
-                end = offset + nbytes
-                if end > arena.nbytes:
-                    raise ExecutionError(
-                        f"arena overflow allocating {name}: needs "
-                        f"{end} bytes, arena has {arena.nbytes}"
-                    )
-                return arena[offset:end].view(np_dtype).reshape(shape)
-
-        elif site.poolable:
-            make = lambda ctx: site.take()  # noqa: E731
-        else:
-            shape, np_dtype = site.shape, site.np_dtype
-            make = lambda ctx: np.zeros(shape, dtype=np_dtype)  # noqa: E731
-
-        def run(ctx):
-            ctx.tensors[name] = make(ctx)
-            ctx.alloc_bytes[name] = nbytes
-            ctx.stats.note_alloc(nbytes)
-            tracer = ctx.tracer
-            if tracer is not None:
-                tracer.instant(
-                    f"alloc:{name}",
-                    category="runtime",
-                    nbytes=nbytes,
-                    arena=is_arena,
-                )
-
-        return run
-
-    def _compile_dynamic_alloc(self, stmt: Alloc) -> Callable:
-        """Alloc with runtime extents (symbolic batch): sized per call.
-
-        Never pooled or arena-placed — the buffer-reuse pass skips
-        non-static allocs, and a free-list keyed on a varying shape would
-        thrash.  Thread-local runtime-sized scratch is unsupported (the
-        shrink pass reduces dynamic scratch to static slots first).
-        """
-        if stmt.thread_local:
-            raise _SpecializationError(
-                TensorIRError,
-                f"thread-local buffer {stmt.tensor!r} has a runtime-sized "
-                f"shape {stmt.shape!r}",
-            )
-        name = stmt.tensor
-        np_dtype = stmt.dtype.to_numpy()
-        dims: List[Tuple[Optional[int], Optional[Callable]]] = [
-            compile_scalar(as_expr(s)) if isinstance(s, Expr) else (int(s), None)
-            for s in stmt.shape
-        ]
-
-        def run(ctx):
-            scalars = ctx.scalars
-            shape = tuple(
-                c if fn is None else fn(scalars) for c, fn in dims
-            )
-            buf = np.zeros(shape, dtype=np_dtype)
-            ctx.tensors[name] = buf
-            ctx.alloc_bytes[name] = buf.nbytes
-            ctx.stats.note_alloc(buf.nbytes)
-            tracer = ctx.tracer
-            if tracer is not None:
-                tracer.instant(
-                    f"alloc:{name}",
-                    category="runtime",
-                    nbytes=buf.nbytes,
-                    arena=False,
-                )
-
-        return run
-
-    def _compile_free(self, stmt: Free) -> Callable:
-        name = stmt.tensor
-        site = self.alloc_sites.get(name)
-        self.tl_live.pop(name, None)
-        if site is not None and site.poolable:
-            free_list = site.free_list
-
-            def run(ctx):
-                nbytes = ctx.alloc_bytes.pop(name, None)
-                buf = ctx.tensors.pop(name, None)
-                if nbytes is not None:
-                    ctx.stats.note_free(nbytes)
-                    # Only the frame that allocated it may recycle it
-                    # (parallel chunks inherit the tensor but not the
-                    # alloc_bytes entry, exactly like _Frame.fork).
-                    if buf is not None and len(free_list) < _POOL_DEPTH:
-                        free_list.append(buf)
-
-        else:
-
-            def run(ctx):
-                nbytes = ctx.alloc_bytes.pop(name, None)
-                if nbytes is not None:
-                    ctx.stats.note_free(nbytes)
-                ctx.tensors.pop(name, None)
-
-        return run
-
-    def _compile_fill(self, stmt: Fill) -> Callable:
-        view = self._compile_slice(stmt.dst)
-        value = stmt.value
-
-        def run(ctx):
-            view(ctx.tensors, ctx.scalars)[...] = value
-
-        return run
-
-    def _compile_copy(self, stmt: Copy) -> Callable:
-        dst_fn = self._compile_slice(stmt.dst)
-        src_fn = self._compile_slice(stmt.src)
-        if not (stmt.dst.is_static and stmt.src.is_static):
-            # Runtime extents: validate and reshape against the resolved
-            # views, exactly as the interpreter does.
-            def run(ctx):
-                t, s = ctx.tensors, ctx.scalars
-                dst = dst_fn(t, s)
-                src = src_fn(t, s)
-                if dst.size != src.size:
-                    raise ExecutionError(
-                        f"copy size mismatch: {dst.shape} <- {src.shape}"
-                    )
-                dst[...] = src.reshape(dst.shape)
-
-            return run
-        if stmt.dst.num_elements != stmt.src.num_elements:
-            raise _SpecializationError(
-                ExecutionError,
-                f"copy size mismatch: {tuple(stmt.dst.sizes)} <- "
-                f"{tuple(stmt.src.sizes)}",
-            )
-        dst_shape = stmt.dst.sizes
-
-        def run(ctx):
-            t, s = ctx.tensors, ctx.scalars
-            dst_fn(t, s)[...] = src_fn(t, s).reshape(dst_shape)
-
-        return run
-
-    def _compile_barrier(self, stmt: Barrier) -> Callable:
-        def run(ctx):
-            ctx.stats.barriers += 1
-
-        return run
-
-    # -- compute ---------------------------------------------------------------
-
-    def _compile_compute(self, stmt: Compute) -> Callable:
-        schema = OP_REGISTRY.get(stmt.op)
-        if schema is None:
-            raise _SpecializationError(
-                TensorIRError,
-                f"compute references unknown op {stmt.op!r}",
-            )
-        dst_fn = self._compile_slice(stmt.dst)
-        dst_ndim = len(stmt.dst.sizes)
-        attrs = {k: v for k, v in stmt.attrs.items() if k != "accumulate"}
-        acc_op = stmt.attrs.get("accumulate")
-        if acc_op and acc_op not in (True, "add", "max"):
-            raise _SpecializationError(
-                TensorIRError, f"unknown accumulate mode {acc_op!r}"
-            )
-        reference = schema.reference
-        op_name = stmt.op
-
-        fetchers: List[Callable] = []
-        for src in stmt.srcs:
-            if isinstance(src, SliceRef):
-                view = self._compile_slice(src)
-                sizes = src.sizes
-                if schema.is_elementwise and len(sizes) > dst_ndim:
-                    # Drop leading length-1 dims (slice [i:1, ...]): the
-                    # alignment the interpreter derives per call is fully
-                    # static here.
-                    lead = len(sizes) - dst_ndim
-                    if any(d != 1 for d in sizes[:lead]):
-                        raise _SpecializationError(
-                            ExecutionError,
-                            f"compute {op_name}: cannot align source "
-                            f"shape {tuple(sizes)} to destination "
-                            f"{tuple(stmt.dst.sizes)}",
-                        )
-                    target = sizes[lead:]
-                    fetchers.append(
-                        lambda t, s, _v=view, _t=target: _v(t, s).reshape(
-                            _t
-                        )
-                    )
-                else:
-                    fetchers.append(view)
-            else:
-                const = np.asarray(np.float32(src))
-                fetchers.append(lambda t, s, _c=const: _c)
-
-        if schema.is_reduction:
-            first = fetchers[0]
-
-            def produce(t, s):
-                return reference([first(t, s)], attrs)[0]
-
-        elif not schema.is_elementwise:
-
-            def run(ctx):
-                ctx.stats.compute_stmts += 1
-                t, s = ctx.tensors, ctx.scalars
-                dst = dst_fn(t, s)
-                result = np.asarray(
-                    reference([f(t, s) for f in fetchers], attrs)[0]
-                )
-                if result.size != dst.size:
-                    raise ExecutionError(
-                        f"compute {op_name}: result has {result.size} "
-                        f"elements for a destination of {dst.size}"
-                    )
-                dst[...] = result.reshape(dst.shape).astype(dst.dtype)
-
-            return run
-        else:
-
-            def produce(t, s):
-                return reference([f(t, s) for f in fetchers], attrs)[0]
-
-        if acc_op in (True, "add"):
-
-            def finish(dst, result):
-                # Cast first (as the reference semantics demand), then
-                # accumulate in place — no temporary sum array.
-                np.add(
-                    dst, result.astype(dst.dtype, copy=False), out=dst
-                )
-
-        elif acc_op == "max":
-
-            def finish(dst, result):
-                np.maximum(
-                    dst, result.astype(dst.dtype, copy=False), out=dst
-                )
-
-        else:
-
-            def finish(dst, result):
-                if result.shape == dst.shape:
-                    dst[...] = result  # assignment casts like astype
-                else:
-                    dst[...] = np.broadcast_to(result, dst.shape).astype(
-                        dst.dtype
-                    )
-
-        def run(ctx):
-            ctx.stats.compute_stmts += 1
-            t, s = ctx.tensors, ctx.scalars
-            dst = dst_fn(t, s)
-            result = np.asarray(produce(t, s))
-            if result.ndim > dst_ndim and all(
-                d == 1 for d in result.shape[: result.ndim - dst_ndim]
-            ):
-                result = result.reshape(
-                    result.shape[result.ndim - dst_ndim :]
-                )
-            finish(dst, result)
-
-        return run
-
-    # -- pack / unpack ---------------------------------------------------------
-
-    def _compile_pack(self, stmt: Pack) -> Callable:
-        if not (stmt.src.is_static and stmt.dst.is_static):
-            return self._compile_runtime_pack(stmt)
-        src_axes, src_shape = _static_squeeze(
-            stmt.src.sizes, 2, "pack source"
-        )
-        rows, cols = src_shape
-        if stmt.transpose_src:
-            rows, cols = cols, rows
-        b1, b2 = stmt.block_sizes
-        dst_axes, dst4 = _static_squeeze(
-            stmt.dst.sizes, 4, "pack destination"
-        )
-        rb, cb = dst4[0], dst4[1]
-        if stmt.outer_transposed:
-            rb, cb = cb, rb
-        if rb * b1 < rows or cb * b2 < cols:
-            raise _SpecializationError(
-                ExecutionError,
-                f"pack destination {stmt.dst!r} too small for source "
-                f"({rows}x{cols} into {rb}x{b1} x {cb}x{b2})",
-            )
-        need_pad = rows != rb * b1 or cols != cb * b2
-        # Compose the inner-block and outer transposes into one permutation.
-        perm = (0, 2, 3, 1) if stmt.swap_inner else (0, 2, 1, 3)
-        if stmt.outer_transposed:
-            order = (1, 0, 2, 3)
-            perm = tuple(perm[i] for i in order)
-        dst_size = stmt.dst.num_elements
-        if dst_size != rb * cb * b1 * b2:
-            raise _SpecializationError(
-                ExecutionError,
-                f"pack destination {stmt.dst!r} has {dst_size} elements, "
-                f"blocks have {rb * cb * b1 * b2}",
-            )
-        src_fn = self._compile_slice(stmt.src)
-        dst_fn = self._compile_slice(stmt.dst)
-        transpose_src = stmt.transpose_src
-        tensor_name = stmt.dst.tensor
-        blocks_label = f"{b1}x{b2}"
-
-        def body(ctx):
-            t, s = ctx.tensors, ctx.scalars
-            src = src_fn(t, s)
-            if src_axes:
-                src = np.squeeze(src, axis=src_axes)
-            if transpose_src:
-                src = src.T
-            if need_pad:
-                padded = np.zeros((rb * b1, cb * b2), dtype=src.dtype)
-                padded[:rows, :cols] = src
-                src = padded
-            blocks = src.reshape(rb, b1, cb, b2).transpose(perm)
-            dst = dst_fn(t, s)
-            dst[...] = blocks.reshape(dst.shape).astype(dst.dtype)
-
-        def run(ctx):
-            ctx.stats.pack_stmts += 1
-            tracer = ctx.tracer
-            if tracer is not None:
-                with tracer.span(
-                    "pack",
-                    category="runtime",
-                    tensor=tensor_name,
-                    blocks=blocks_label,
-                ):
-                    body(ctx)
-            else:
-                body(ctx)
-
-        return run
-
-    def _compile_runtime_pack(self, stmt: Pack) -> Callable:
-        """Pack with runtime geometry: resolve views, then the shared
-        reference helper (same semantics as the interpreter)."""
-        src_fn = self._compile_slice(stmt.src)
-        dst_fn = self._compile_slice(stmt.dst)
-        block_sizes = stmt.block_sizes
-        swap_inner = stmt.swap_inner
-        outer_transposed = stmt.outer_transposed
-        transpose_src = stmt.transpose_src
-        tensor_name = stmt.dst.tensor
-        blocks_label = f"{block_sizes[0]}x{block_sizes[1]}"
-
-        def body(ctx):
-            t, s = ctx.tensors, ctx.scalars
-            run_pack(
-                dst_fn(t, s),
-                src_fn(t, s),
-                block_sizes,
-                swap_inner=swap_inner,
-                outer_transposed=outer_transposed,
-                transpose_src=transpose_src,
-            )
-
-        def run(ctx):
-            ctx.stats.pack_stmts += 1
-            tracer = ctx.tracer
-            if tracer is not None:
-                with tracer.span(
-                    "pack",
-                    category="runtime",
-                    tensor=tensor_name,
-                    blocks=blocks_label,
-                ):
-                    body(ctx)
-            else:
-                body(ctx)
-
-        return run
-
-    def _compile_unpack(self, stmt: Unpack) -> Callable:
-        if not (stmt.src.is_static and stmt.dst.is_static):
-            return self._compile_runtime_unpack(stmt)
-        dst_axes, dst_shape = _static_squeeze(
-            stmt.dst.sizes, 2, "unpack destination"
-        )
-        rows, cols = dst_shape
-        b1, b2 = stmt.block_sizes
-        src_size = stmt.src.num_elements
-        total_blocks = src_size // (b1 * b2)
-        rb = max(1, -(-rows // b1))
-        cb = total_blocks // rb if rb else 0
-        if rb * cb != total_blocks or cb * b2 < cols:
-            raise _SpecializationError(
-                ExecutionError,
-                f"unpack geometry mismatch: {src_size} elements as "
-                f"{rb}x{cb} blocks of {b1}x{b2} for output "
-                f"{rows}x{cols}",
-            )
-        if stmt.swap_inner:
-            reshape, perm = (rb, cb, b2, b1), (0, 3, 1, 2)
-        else:
-            reshape, perm = (rb, cb, b1, b2), (0, 2, 1, 3)
-        src_fn = self._compile_slice(stmt.src)
-        dst_fn = self._compile_slice(stmt.dst)
-        tensor_name = stmt.dst.tensor
-        blocks_label = f"{b1}x{b2}"
-
-        def body(ctx):
-            t, s = ctx.tensors, ctx.scalars
-            src = src_fn(t, s)
-            dst = dst_fn(t, s)
-            if dst_axes:
-                dst = np.squeeze(dst, axis=dst_axes)
-            blocks = src.reshape(reshape).transpose(perm)
-            plain = blocks.reshape(rb * b1, cb * b2)
-            dst[...] = plain[:rows, :cols].astype(dst.dtype)
-
-        def run(ctx):
-            ctx.stats.pack_stmts += 1
-            tracer = ctx.tracer
-            if tracer is not None:
-                with tracer.span(
-                    "unpack",
-                    category="runtime",
-                    tensor=tensor_name,
-                    blocks=blocks_label,
-                ):
-                    body(ctx)
-            else:
-                body(ctx)
-
-        return run
-
-    def _compile_runtime_unpack(self, stmt: Unpack) -> Callable:
-        src_fn = self._compile_slice(stmt.src)
-        dst_fn = self._compile_slice(stmt.dst)
-        block_sizes = stmt.block_sizes
-        swap_inner = stmt.swap_inner
-        tensor_name = stmt.dst.tensor
-        blocks_label = f"{block_sizes[0]}x{block_sizes[1]}"
-
-        def body(ctx):
-            t, s = ctx.tensors, ctx.scalars
-            run_unpack(
-                dst_fn(t, s),
-                src_fn(t, s),
-                block_sizes,
-                swap_inner=swap_inner,
-            )
-
-        def run(ctx):
-            ctx.stats.pack_stmts += 1
-            tracer = ctx.tracer
-            if tracer is not None:
-                with tracer.span(
-                    "unpack",
-                    category="runtime",
-                    tensor=tensor_name,
-                    blocks=blocks_label,
-                ):
-                    body(ctx)
-            else:
-                body(ctx)
-
-        return run
-
-    # -- brgemm ----------------------------------------------------------------
-
-    def _compile_brgemm(self, stmt: BrgemmCall) -> Callable:
-        a_axes, a_shape = _static_squeeze(stmt.a.sizes, 3, "brgemm A")
-        b_axes, b_shape = _static_squeeze(stmt.b.sizes, 3, "brgemm B")
-        c_axes, c_shape = _static_squeeze(stmt.c.sizes, 2, "brgemm C")
-        if a_shape[0] != stmt.batch:
-            raise _SpecializationError(
-                ExecutionError,
-                f"brgemm batch {stmt.batch} but A batch dim is "
-                f"{a_shape[0]}",
-            )
-        # The whole microkernel invocation resolves at build time: shape
-        # compatibility, accumulator dtype, and the contraction subscripts
-        # the kernel would re-derive per call.
-        if a_shape[0] != b_shape[0]:
-            raise _SpecializationError(
-                ExecutionError,
-                f"brgemm batch mismatch: a has {a_shape[0]}, b has "
-                f"{b_shape[0]}",
-            )
-        mb, kb = a_shape[1], a_shape[2]
-        nb, kb_b = (
-            (b_shape[1], b_shape[2])
-            if stmt.b_transposed
-            else (b_shape[2], b_shape[1])
-        )
-        if kb != kb_b:
-            raise _SpecializationError(
-                ExecutionError,
-                f"brgemm K mismatch: a blocks [{mb},{kb}], b blocks "
-                f"{'[NB,KB]' if stmt.b_transposed else '[KB,NB]'}="
-                f"{[b_shape[1], b_shape[2]]}",
-            )
-        if c_shape != (mb, nb):
-            raise _SpecializationError(
-                ExecutionError,
-                f"brgemm accumulator shape {c_shape} != ({mb}, {nb})",
-            )
-        a_dtype = self.dtypes[stmt.a.tensor]
-        c_dtype = self.dtypes[stmt.c.tensor]
-        if a_dtype in (np.int8, np.uint8):
-            if c_dtype != np.int32:
-                raise _SpecializationError(
-                    ExecutionError,
-                    f"int8 brgemm needs an int32 accumulator, got "
-                    f"{c_dtype}",
-                )
-            acc_dtype = np.int32
-        else:
-            if c_dtype != np.float32:
-                raise _SpecializationError(
-                    ExecutionError,
-                    f"float brgemm needs a float32 accumulator, got "
-                    f"{c_dtype}",
-                )
-            acc_dtype = np.float32
-        subscripts = "bmk,bnk->mn" if stmt.b_transposed else "bmk,bkn->mn"
-        a_fn = self._compile_slice(stmt.a)
-        b_fn = self._compile_slice(stmt.b)
-        c_fn = self._compile_slice(stmt.c)
-        batch = stmt.batch
-        initialize = stmt.initialize
-        einsum = np.einsum
-        contiguous = np.ascontiguousarray
-
-        def kernel(t, s):
-            a = a_fn(t, s)
-            b = b_fn(t, s)
-            c = c_fn(t, s)
-            if a_axes:
-                a = a.squeeze(a_axes)
-            if b_axes:
-                b = b.squeeze(b_axes)
-            if c_axes:
-                c = c.squeeze(c_axes)
-            # One pass makes the operands contiguous *and* widens int8 to
-            # the accumulator dtype; einsum output is already acc_dtype.
-            partial = einsum(
-                subscripts,
-                contiguous(a, dtype=acc_dtype),
-                contiguous(b, dtype=acc_dtype),
-            )
-            if initialize:
-                c[...] = partial
-            else:
-                c += partial
-            return a, c
-
-        def run(ctx):
-            ctx.stats.brgemm_calls += 1
-            tracer = ctx.tracer
-            if tracer is None:
-                kernel(ctx.tensors, ctx.scalars)
-                return
-            with tracer.span("brgemm", category="microkernel") as span:
-                start = time.perf_counter()
-                a, c = kernel(ctx.tensors, ctx.scalars)
-                wall = time.perf_counter() - start
-                span.set(
-                    **brgemm_cost_attrs(ctx.machine, a, c, batch, wall)
-                )
-
-        return run
-
-    # -- calls -----------------------------------------------------------------
-
-    def _compile_call(self, stmt: Call) -> Callable:
-        module = self.executor.module
-        try:
-            callee = module.get(stmt.func)
-        except TensorIRError as exc:
-            raise _SpecializationError(TensorIRError, str(exc))
-        if len(stmt.args) != len(callee.params):
-            raise _SpecializationError(
-                ExecutionError,
-                f"call to {stmt.func} passes {len(stmt.args)} args, "
-                f"function takes {len(callee.params)}",
-            )
-        for arg, param in zip(stmt.args, callee.params):
-            arg_shape = self.shapes.get(arg)
-            if arg_shape is None:
-                continue
-            want = tuple(param.shape)
-            if len(arg_shape) != len(want):
-                raise _SpecializationError(
-                    ExecutionError,
-                    f"buffer {param.name!r} has shape {arg_shape}, "
-                    f"function {stmt.func} expects {want}",
-                )
-            for got, expect in zip(arg_shape, want):
-                # Symbolic dims on either side defer to the runtime
-                # binding check; static dims must match exactly.
-                if isinstance(got, Expr) or isinstance(expect, Expr):
-                    continue
-                if int(got) != int(expect):
-                    raise _SpecializationError(
-                        ExecutionError,
-                        f"buffer {param.name!r} has shape {arg_shape}, "
-                        f"function {stmt.func} expects {want}",
-                    )
-        # Symbolic callee dims bind from the caller's runtime arrays: one
-        # (param, axis) source per Var, resolved when the call fires.
-        bind_plan = []
-        seen_vars = set()
-        for param in callee.params:
-            for axis, dim in enumerate(param.shape):
-                if isinstance(dim, Var) and dim.name not in seen_vars:
-                    seen_vars.add(dim.name)
-                    bind_plan.append((dim.name, param.name, axis))
-        # Pre-linked: the callee's program object is filled by the time
-        # any program runs (two-phase build), so the closure binds it now.
-        program = self.executor.program(stmt.func)
-        pairs = [
-            (param.name, arg)
-            for param, arg in zip(callee.params, stmt.args)
-        ]
-        func_name = stmt.func
-        span_name = f"call:{func_name}"
-
-        def run(ctx):
-            ctx.stats.function_calls += 1
-            tensors = ctx.tensors
-            try:
-                bound = {pn: tensors[an] for pn, an in pairs}
-            except KeyError as exc:
-                raise ExecutionError(
-                    f"call to {func_name}: unknown buffer "
-                    f"{exc.args[0]!r}"
-                )
-            child = _Ctx()
-            child.tensors = bound
-            for var_name, param_name, axis in bind_plan:
-                child.scalars[var_name] = int(bound[param_name].shape[axis])
-            child.stats = ctx.stats
-            child.pool = ctx.pool
-            child.workers = ctx.workers
-            child.in_parallel = ctx.in_parallel
-            child.tracer = ctx.tracer
-            child.arena = ctx.arena
-            child.machine = ctx.machine
-            tracer = ctx.tracer
-            if tracer is not None:
-                with tracer.span(span_name, category="runtime"):
-                    for step in program.steps:
-                        step(child)
-            else:
-                for step in program.steps:
-                    step(child)
-
-        return run
-
-    # -- loops -----------------------------------------------------------------
-
-    def _compile_for(self, stmt: For) -> Callable:
-        const_begin, begin_fn = compile_scalar(stmt.begin)
-        const_end, end_fn = compile_scalar(stmt.end)
-        const_step, step_fn = compile_scalar(stmt.step)
-        if const_step is not None and const_step <= 0:
-            raise _SpecializationError(
-                TensorIRError,
-                f"loop {stmt.var} has non-positive step",
-            )
-        static = (
-            begin_fn is None and end_fn is None and step_fn is None
-        )
-        var = stmt.var
-        if static:
-            values = range(const_begin, const_end, const_step)
-
-            def get_values(scalars):
-                return values
-
-        else:
-
-            def get_values(scalars):
-                begin = (
-                    const_begin if begin_fn is None else begin_fn(scalars)
-                )
-                end = const_end if end_fn is None else end_fn(scalars)
-                step = const_step if step_fn is None else step_fn(scalars)
-                if step <= 0:
-                    raise TensorIRError(
-                        f"loop {var} has non-positive step"
-                    )
-                return range(begin, end, step)
-
-        # Snapshot the thread-local allocs live at this loop: these get
-        # preplanned per-worker slots instead of per-iteration forks.
-        tl_sites = list(self.tl_live.values())
-        body = self._compile_block(stmt.body)
-
-        if not stmt.parallel:
-
-            def run(ctx):
-                scalars = ctx.scalars
-                for value in get_values(scalars):
-                    scalars[var] = value
-                    for step in body:
-                        step(ctx)
-
-            return run
-
-        span_name = f"parallel_for:{var}"
-        slot_pool: List[Dict[str, np.ndarray]] = []
-
-        def run_serial(ctx, values):
-            scalars = ctx.scalars
-            for value in values:
-                scalars[var] = value
-                for step in body:
-                    step(ctx)
-
-        def run_threaded(ctx, values):
-            count = len(values)
-            workers = min(ctx.workers, count)
-            bounds = [
-                (count * w // workers, count * (w + 1) // workers)
-                for w in range(workers)
-            ]
-            slots: List[Dict[str, np.ndarray]] = []
-            for _ in range(workers):
-                try:
-                    slots.append(slot_pool.pop())
-                except IndexError:
-                    slots.append(
-                        {
-                            site.name: np.empty(
-                                site.shape, dtype=site.np_dtype
-                            )
-                            for site in tl_sites
-                        }
-                    )
-
-            def chunk(lo_hi, slot):
-                lo, hi = lo_hi
-                child = _Ctx()
-                child.tensors = dict(ctx.tensors)
-                child.scalars = dict(ctx.scalars)
-                child.pool = ctx.pool
-                child.workers = ctx.workers
-                child.in_parallel = True
-                child.tracer = ctx.tracer
-                child.arena = ctx.arena
-                child.machine = ctx.machine
-                scratch = [
-                    (name, buf)
-                    for name, buf in slot.items()
-                    if name in child.tensors
-                ]
-                for name, buf in scratch:
-                    child.tensors[name] = buf
-                scalars = child.scalars
-                for value in values[lo:hi]:
-                    # Fresh zeroed scratch per iteration, as _Frame.fork
-                    # provides — but into reused slot storage.
-                    for _, buf in scratch:
-                        buf.fill(0)
-                    scalars[var] = value
-                    for step in body:
-                        step(child)
-                return child.stats
-
-            try:
-                futures = [
-                    ctx.pool.submit(chunk, bounds[w], slots[w])
-                    for w in range(workers)
-                ]
-                merged = [future.result() for future in futures]
-            finally:
-                while slots and len(slot_pool) < _POOL_DEPTH:
-                    slot_pool.append(slots.pop())
-            stats = ctx.stats
-            for child_stats in merged:
-                stats.merge(child_stats)
-
-        def run(ctx):
-            ctx.stats.parallel_loops += 1
-            values = get_values(ctx.scalars)
-            threaded = (
-                ctx.pool is not None
-                and len(values) > 1
-                and not ctx.in_parallel
-            )
-            tracer = ctx.tracer
-            if tracer is not None:
-                with tracer.span(
-                    span_name,
-                    category="runtime",
-                    trips=len(values),
-                    threaded=threaded,
-                ):
-                    if threaded:
-                        run_threaded(ctx, values)
-                    else:
-                        run_serial(ctx, values)
-                return
-            if threaded:
-                run_threaded(ctx, values)
-            else:
-                run_serial(ctx, values)
-
-        return run
-
-
-class CompiledExecutor:
-    """A specialized, reusable executor for one Tensor IR module.
-
-    Built once per :class:`~repro.runtime.partition.CompiledPartition`;
-    ``run`` is thread-safe (each call gets a private context; buffer and
-    slot free-lists are GIL-atomic).
-    """
-
-    def __init__(
-        self,
-        module: TirModule,
-        machine=None,
-        arena_size: Optional[int] = None,
-    ) -> None:
-        self.module = module
-        self.machine = machine
-        self.arena_size = int(arena_size or 0)
-        self._arena_pool: List[np.ndarray] = []
-        self._programs: Dict[str, _Program] = {
-            name: _Program(func) for name, func in module.functions.items()
-        }
-        # Two-phase build: program objects exist first, so Call closures
-        # can pre-link to callees regardless of definition order.
-        for name, func in module.functions.items():
-            self._programs[name].steps = _FunctionCompiler(
-                self, func
-            ).compile()
-
-    def program(self, name: str) -> _Program:
-        try:
-            return self._programs[name]
-        except KeyError:
-            raise TensorIRError(f"module has no function {name!r}")
-
-    # -- execution -------------------------------------------------------------
-
-    def run(
-        self,
-        buffers: Dict[str, np.ndarray],
-        func_name: Optional[str] = None,
-        *,
-        pool=None,
-        num_threads: int = 1,
-    ) -> ExecutionStats:
-        """Execute a function (default: the entry) in place on ``buffers``.
-
-        Returns this call's :class:`ExecutionStats`.  ``pool`` is an
-        optional persistent ``ThreadPoolExecutor`` used for parallel
-        loops when ``num_threads > 1``.
-        """
-        name = func_name or self.module.entry
-        program = self.program(name)
-        ctx = _Ctx()
-        for param in program.func.params:
-            if param.name not in buffers:
-                raise ExecutionError(
-                    f"missing buffer {param.name!r} for function {name}"
-                )
-            ctx.tensors[param.name] = buffers[param.name]
-        # Binds symbolic dims from the arrays and exact-checks static ones.
-        ctx.scalars.update(bind_shapes(program.func.params, buffers))
-        tracer = get_tracer()
-        ctx.tracer = tracer if tracer.enabled else None
-        ctx.machine = self.machine
-        if num_threads > 1 and pool is not None:
-            ctx.pool = pool
-            ctx.workers = num_threads
-        arena = None
-        if self.arena_size:
-            arena = self._take_arena()
-            ctx.arena = arena
-        try:
-            # One errstate for the whole program instead of one per
-            # compute: padded lanes are cropped before becoming visible,
-            # exactly as in the interpreter.
-            with np.errstate(
-                over="ignore", invalid="ignore", divide="ignore"
-            ):
-                for step in program.steps:
-                    step(ctx)
-        finally:
-            if arena is not None and len(self._arena_pool) < _POOL_DEPTH:
-                self._arena_pool.append(arena)
-        return ctx.stats
-
-    def _take_arena(self) -> np.ndarray:
-        try:
-            arena = self._arena_pool.pop()
-        except IndexError:
-            return np.zeros(self.arena_size, dtype=np.uint8)
-        arena.fill(0)  # interpreter calls get a fresh zeroed arena too
-        return arena
+from .codegen import CodegenExecutor as CompiledExecutor  # noqa: F401

@@ -33,12 +33,11 @@ from ..observability.context import active_contexts
 from ..tensor_ir.module import TirModule
 from .codegen import CodegenExecutor
 from .dynamic import concrete_shape
-from .executor import CompiledExecutor
 from .interpreter import ExecutionStats, Interpreter
 
 #: Valid values for ``CompilerOptions.executor`` / the ``executor=``
 #: constructor override.
-EXECUTOR_BACKENDS = ("interpret", "compiled", "codegen")
+EXECUTOR_BACKENDS = ("interpret", "codegen")
 
 
 class _Role(enum.Enum):
@@ -108,21 +107,22 @@ class CompiledPartition:
         self.lowered = lowered
         self.num_threads = num_threads
         if executor is None:
+            # Imported here: repro.core imports this module.
+            from ..core.options import CompilerOptions
+
             options = getattr(lowered.ctx, "options", None)
-            executor = getattr(options, "executor", None) or "compiled"
+            executor = (options or CompilerOptions()).executor
         if executor not in EXECUTOR_BACKENDS:
             raise ValueError(
                 f"unknown executor backend {executor!r}; "
                 f"expected one of {EXECUTOR_BACKENDS}"
             )
         #: Runtime backend: ``"codegen"`` exec-generates one flat Python
-        #: function per TIR function; ``"compiled"`` specializes the
-        #: module into a closure program once; ``"interpret"`` re-walks
-        #: the IR per call (the reference backend).
+        #: function per TIR function; ``"interpret"`` re-walks the IR per
+        #: call (the reference backend).
         self.executor = executor
         self._executor_lock = threading.Lock()
         self._close_lock = threading.Lock()
-        self._compiled: Optional[CompiledExecutor] = None
         self._codegen: Optional[CodegenExecutor] = None
         #: Persistent worker pool shared across calls and parallel loops;
         #: (re)built lazily whenever ``num_threads`` changes.
@@ -278,10 +278,6 @@ class CompiledPartition:
         lowered = self.lowered
         num_threads = max(1, int(self.num_threads))
         pool = self._shared_pool(num_threads)
-        if self.executor == "compiled":
-            return self._compiled_executor().run(
-                buffers, pool=pool, num_threads=num_threads
-            )
         if self.executor == "codegen":
             return self._codegen_executor().run(
                 buffers, pool=pool, num_threads=num_threads
@@ -295,21 +291,6 @@ class CompiledPartition:
         )
         interp.run(buffers)
         return interp.stats
-
-    def _compiled_executor(self) -> CompiledExecutor:
-        """The specialized executor, built once per partition."""
-        executor = self._compiled
-        if executor is None:
-            with self._executor_lock:
-                if self._compiled is None:
-                    lowered = self.lowered
-                    self._compiled = CompiledExecutor(
-                        lowered.module,
-                        machine=lowered.ctx.machine,
-                        arena_size=self.arena_size or None,
-                    )
-                executor = self._compiled
-        return executor
 
     def _codegen_executor(self) -> CodegenExecutor:
         """The whole-program codegen executor, built once per partition."""
@@ -356,11 +337,11 @@ class CompiledPartition:
             return self._pool is not None
 
     def close(self) -> None:
-        """Release the persistent worker pool (idempotent).
+        """Release the worker pool and the codegen executor (idempotent).
 
         Called by owners on teardown and by :class:`PartitionCache` when
         it evicts this partition.  Executing the partition again after
-        ``close`` transparently rebuilds the pool.
+        ``close`` transparently rebuilds both.
 
         Safe against double close — a partition that was evicted, then
         hot-swapped back out by the adaptive retuner, is closed by both
@@ -376,6 +357,10 @@ class CompiledPartition:
                 pool = self._pool
                 self._pool = None
                 self._pool_size = 0
+                codegen = self._codegen
+                self._codegen = None
+            if codegen is not None:
+                codegen.close()
             if pool is not None:
                 pool.shutdown(wait=True)
 

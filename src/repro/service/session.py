@@ -184,8 +184,8 @@ class InferenceSession:
             get an exact-size specialization.  ``None`` compiles exactly
             per distinct batch size.
         num_threads: Intra-partition parallelism for compiled partitions.
-        executor: Runtime backend override (``"interpret"``,
-            ``"compiled"`` or ``"codegen"``); ``None`` keeps
+        executor: Runtime backend override (``"interpret"`` or
+            ``"codegen"``); ``None`` keeps
             ``options.executor``.  The
             choice participates in partition-cache signatures, so sessions
             with different backends never share compiled artifacts.

@@ -11,14 +11,14 @@ Usage::
     python -m repro.tools.bench fig8-mlp --trace trace.json  # Chrome trace
     python -m repro.tools.bench fig8-mlp --metrics      # top passes / ops
     python -m repro.tools.bench runtime --repeat 5      # BENCH_runtime.json
-    python -m repro.tools.bench runtime --executor compiled --quick
+    python -m repro.tools.bench runtime --executor codegen --quick
     python -m repro.tools.bench serve --clients 8       # BENCH_serving.json
     python -m repro.tools.bench serve --quick
     python -m repro.tools.bench serve --workers 4       # sharded fleet curve
     python -m repro.tools.bench serve --adaptive        # drift -> hot swap
 
 ``runtime`` measures *real* steady-state execution latency (not modeled
-cycles) of the fig7/fig8 workloads on the interpreter and the compiled
+cycles) of the fig7/fig8 workloads on the interpreter and the codegen
 executor, asserts both backends produce bit-identical outputs, and
 writes the ``BENCH_runtime.json`` artifact.
 
@@ -62,6 +62,7 @@ from ..observability import (
 )
 from ..perfmodel import MachineSimulator, specs_for_partition
 from ..perfmodel.report import format_speedup_table, geomean
+from ..runtime import EXECUTOR_BACKENDS
 from ..service import PartitionCache, format_stats, graph_signature
 from ..workloads import (
     MHA_BATCH_SIZES,
@@ -263,21 +264,17 @@ def run_fig8_mha(dtype: DType, batches) -> None:
 
 
 #: Schema tag of the runtime-bench artifact; bump on breaking changes.
-#: v2 adds the codegen executor (three-way comparison: per-workload
-#: ``speedup`` becomes a dict of ratios) and real machine provenance
-#: (``machine`` becomes an object with ``host_cpus`` etc.).
+#: v2 makes the per-workload ``speedup`` a dict of named ratios and
+#: records real machine provenance (``machine`` becomes an object with
+#: ``host_cpus`` etc.).
 BENCH_RUNTIME_SCHEMA = "repro.bench_runtime/v2"
 
-#: Older runtime schema (two-way, string machine tag); committed v1
-#: artifacts still validate.
+#: Older runtime schema (interpret vs the since-removed closure executor,
+#: string machine tag); committed v1 artifacts still validate.
 BENCH_RUNTIME_SCHEMA_V1 = "repro.bench_runtime/v1"
 
 #: Ratio keys of the v2 ``speedup`` dict, in report order.
-_RUNTIME_RATIOS = (
-    ("compiled", "interpret", "compiled"),
-    ("codegen", "interpret", "codegen"),
-    ("codegen_vs_compiled", "compiled", "codegen"),
-)
+_RUNTIME_RATIOS = (("codegen", "interpret", "codegen"),)
 
 
 def _runtime_machine() -> dict:
@@ -370,12 +367,7 @@ def run_runtime(
     """
     import numpy as np
 
-    if executor == "all":
-        backends = ["interpret", "compiled", "codegen"]
-    elif executor == "both":
-        backends = ["interpret", "compiled"]
-    else:
-        backends = [executor]
+    backends = list(EXECUTOR_BACKENDS) if executor == "all" else [executor]
     workloads = []
     ratios_by_group: dict = {}
     for group, label, builder in _runtime_workloads(dtype, quick):
@@ -1817,11 +1809,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--executor",
-        choices=["interpret", "compiled", "codegen", "both", "all"],
+        choices=list(EXECUTOR_BACKENDS) + ["all"],
         default="all",
         help="runtime backend(s) the `runtime` figure measures: one "
-        "backend, `both` (interpret+compiled) or `all` (the default — "
-        "all three, with a bit-identical output check)",
+        "backend or `all` (the default — both, with a bit-identical "
+        "output check)",
     )
     parser.add_argument(
         "--repeat",

@@ -25,6 +25,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from ..core.options import CompilerOptions
 from ..dtypes import DType
 from ..graph_ir.symbolic import canonical_dim
 from ..microkernel.machine import MachineModel
@@ -68,7 +69,7 @@ def tuning_key(
     machine: MachineModel,
     batch: int = 1,
     constraints: Optional[HeuristicConstraints] = None,
-    executor: str = "compiled",
+    executor: str = CompilerOptions.executor,
 ) -> str:
     """The cache key of one tuning problem.
 

@@ -26,6 +26,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from ..core.options import CompilerOptions
 from ..dtypes import DType
 from ..errors import HeuristicError
 from ..microkernel.machine import MachineModel
@@ -118,7 +119,7 @@ class MatmulTuner:
         seed: int = 0,
         measure_top_k: int = 3,
         measure_repeats: int = 3,
-        executor: str = "compiled",
+        executor: str = CompilerOptions.executor,
     ) -> None:
         if mode not in TUNING_MODES:
             raise ValueError(

@@ -4,7 +4,7 @@ One symbolic-batch compile must be indistinguishable — bit for bit —
 from the static-bucket serving path it replaces: pad the batch up to the
 compile hint, run the hint-sized static partition, crop the rows back.
 The matrix here (MLP/MHA x f32/int8 x 1/4 threads x batch sweep) pins
-that contract across all three executors.
+that contract across both executors.
 
 The ``Dynamicity`` taxonomy is ported from IREE's e2e matmul test
 generator (DYNAMIC / STATIC / MIXED tensor types); in this IR the
@@ -71,7 +71,7 @@ CASES = {
     ),
 }
 
-EXECUTORS = ("interpret", "compiled", "codegen")
+EXECUTORS = ("interpret", "codegen")
 
 
 def pad_to_hint(fresh, base, batch, hint):

@@ -1,10 +1,13 @@
-"""The specializing executor: differential equivalence and satellites.
+"""The default executor: differential equivalence and satellites.
 
-The compiled executor is only allowed to exist because it is bit-identical
-to the interpreter.  The differential matrix here (MLP/MHA x f32/int8 x
-1/4 threads) is the contract; the rest covers the specialization pass's
-unit behavior and the interpreter satellites (persistent pool, Free
-clearing thread-local status, lock-free serial stats).
+A partition compiled with default options runs on the codegen backend,
+which is only allowed to be the default because it is bit-identical to
+the interpreter.  The differential matrix here (MLP/MHA x f32/int8 x 1/4
+threads, default options vs ``executor="interpret"``) is the contract;
+the rest covers backend selection, the build-time specialization's unit
+behavior (checked against the interpreter's exact messages and stats),
+and the interpreter satellites (persistent pool, Free clearing
+thread-local status, lock-free serial stats).
 """
 
 import threading
@@ -15,11 +18,14 @@ import pytest
 
 from repro import CompilerOptions, DType, compile_graph
 from repro.errors import ExecutionError
-from repro.runtime import CompiledExecutor, ExecutionStats, Interpreter
-from repro.runtime.executor import compile_scalar, expr_source
+from repro.runtime import (
+    EXECUTOR_BACKENDS,
+    CodegenExecutor,
+    ExecutionStats,
+    Interpreter,
+)
 from repro.runtime.interpreter import _NullLock
 from repro.tensor_ir import SliceRef, TirBuilder, TirModule
-from repro.tensor_ir.expr import Binary, BinaryOp, Const, Var
 from repro.tensor_ir.stmt import Alloc, full_slice
 from repro.workloads import (
     build_mha_graph,
@@ -37,11 +43,13 @@ WORKLOADS = {
 
 
 def run_backend(workload, dtype, backend, num_threads):
+    """Outputs and stats of one execute; ``backend=None`` keeps defaults."""
     build, feed = WORKLOADS[workload]
+    options = CompilerOptions() if backend is None else CompilerOptions(
+        executor=backend
+    )
     partition = compile_graph(
-        build(dtype),
-        options=CompilerOptions(executor=backend),
-        num_threads=num_threads,
+        build(dtype), options=options, num_threads=num_threads
     )
     outputs, stats = partition.execute_with_stats(dict(feed(dtype)))
     partition.close()
@@ -51,7 +59,7 @@ def run_backend(workload, dtype, backend, num_threads):
 
 
 class TestDifferential:
-    """Interpreter and compiled executor must be indistinguishable."""
+    """Interpreter and the default executor must be indistinguishable."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("dtype", [DType.f32, DType.s8],
@@ -63,9 +71,7 @@ class TestDifferential:
         ref_out, ref_stats = run_backend(
             workload, dtype, "interpret", num_threads
         )
-        got_out, got_stats = run_backend(
-            workload, dtype, "compiled", num_threads
-        )
+        got_out, got_stats = run_backend(workload, dtype, None, num_threads)
         assert len(ref_out) == len(got_out)
         for ref, got in zip(ref_out, got_out):
             np.testing.assert_array_equal(ref, got)
@@ -80,9 +86,10 @@ class TestDifferential:
                     assert ref_dict[key] == got_dict[key], key
             assert got_dict["peak_temp_bytes"] > 0
 
-    def test_threaded_equals_serial_compiled(self):
-        serial, _ = run_backend("MLP_1", DType.f32, "compiled", 1)
-        threaded, _ = run_backend("MLP_1", DType.f32, "compiled", 4)
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_threaded_equals_serial_codegen(self, workload):
+        serial, _ = run_backend(workload, DType.f32, "codegen", 1)
+        threaded, _ = run_backend(workload, DType.f32, "codegen", 4)
         for ref, got in zip(serial, threaded):
             np.testing.assert_array_equal(ref, got)
 
@@ -98,10 +105,35 @@ class TestDifferential:
 
 
 class TestBackendSelection:
-    def test_default_is_compiled(self):
+    def test_default_is_codegen(self):
         partition = compile_graph(build_mlp_graph("MLP_1", 16, DType.f32))
-        assert partition.executor == "compiled"
-        assert CompilerOptions().executor == "compiled"
+        assert partition.executor == "codegen"
+        assert CompilerOptions().executor == "codegen"
+        assert EXECUTOR_BACKENDS == ("interpret", "codegen")
+
+    def test_removed_closure_backend_rejected(self):
+        with pytest.raises(ValueError, match="executor"):
+            compile_graph(
+                build_mlp_graph("MLP_1", 16, DType.f32),
+                options=CompilerOptions(executor="compiled"),
+            )
+        partition = compile_graph(build_mlp_graph("MLP_1", 16, DType.f32))
+        from repro.runtime import CompiledPartition
+
+        with pytest.raises(ValueError, match="compiled"):
+            CompiledPartition(partition.lowered, executor="compiled")
+
+    def test_every_executor_default_reads_compiler_options(self):
+        import inspect
+
+        from repro.adaptive.monitor import AdaptiveManager
+        from repro.adaptive.retuner import Retuner
+        from repro.tuner.cache import tuning_key
+        from repro.tuner.tuner import MatmulTuner
+
+        for fn in (tuning_key, MatmulTuner, AdaptiveManager, Retuner):
+            default = inspect.signature(fn).parameters["executor"].default
+            assert default == CompilerOptions().executor, fn
 
     def test_interpret_selectable_via_options(self):
         partition = compile_graph(
@@ -128,7 +160,7 @@ class TestBackendSelection:
         from repro.microkernel.machine import XEON_8358
         from repro.service import graph_signature
 
-        sig_compiled = graph_signature(
+        sig_default = graph_signature(
             build_mlp_graph("MLP_1", 16, DType.f32),
             XEON_8358,
             CompilerOptions(),
@@ -138,14 +170,14 @@ class TestBackendSelection:
             XEON_8358,
             CompilerOptions(executor="interpret"),
         )
-        assert sig_compiled != sig_interp
+        assert sig_default != sig_interp
 
     def test_session_executor_override(self):
         from repro.service import InferenceSession
 
         feed = make_mlp_inputs("MLP_1", 16, DType.f32)
         sessions = []
-        for backend in ("interpret", "compiled"):
+        for backend in ("interpret", "codegen"):
             session = InferenceSession.for_workload(
                 "MLP_1", executor=backend
             )
@@ -269,39 +301,36 @@ class TestInterpreterSatellites:
 
 
 class TestSpecialization:
-    """Unit behavior of the build-time specialization pass."""
+    """Unit behavior of codegen's build-time specialization.
 
-    def test_scalar_expressions_fold_or_compile(self):
-        const, fn = compile_scalar(
-            Binary(BinaryOp.MUL, Const(3), Const(4))
-        )
-        assert const == 12 and fn is None
-        expr = Binary(
-            BinaryOp.ADD,
-            Binary(BinaryOp.MUL, Var("i"), Const(16)),
-            Var("j"),
-        )
-        const, fn = compile_scalar(expr)
-        assert const is None
-        assert fn({"i": 2, "j": 5}) == 37
-        assert "s['i']" in expr_source(expr)
+    Each case checks codegen against the interpreter's exact messages,
+    stats or values, on a variant the codegen unit tests do not cover.
+    """
 
     def test_constant_slices_and_bounds_precomputed(self):
         b = TirBuilder("f")
         b.param("x", DType.f32, (4, 8))
         with b.for_("i", 4) as i:
             b.fill(SliceRef("x", (i, 0), (1, 8)), 1.0)
+        b.fill(SliceRef("x", (1, 2), (2, 3)), 5.0)
         module = TirModule(entry="f")
         module.add(b.finish())
+        executor = CodegenExecutor(module)
+        # The static 2-D slice indexes through one prebound tuple.
+        assert "t_x[_ix" in executor.source_for("f")
         x = np.zeros((4, 8), dtype=np.float32)
-        CompiledExecutor(module).run({"x": x})
-        assert np.all(x == 1.0)
+        executor.run({"x": x})
+        expected = np.ones((4, 8), dtype=np.float32)
+        expected[1:3, 2:5] = 5.0
+        np.testing.assert_array_equal(x, expected)
 
     def test_dynamic_bounds_error_matches_interpreter(self):
+        # The out-of-bounds slice sits inside a threaded parallel loop:
+        # the error must surface from the worker with the same message.
         def build():
             b = TirBuilder("f")
             b.param("x", DType.f32, (6,))
-            with b.for_("i", 4) as i:
+            with b.parallel_for("i", 4) as i:
                 b.fill(SliceRef("x", (i * 2,), (2,)), 1.0)
             module = TirModule(entry="f")
             module.add(b.finish())
@@ -309,21 +338,31 @@ class TestSpecialization:
 
         x = np.zeros(6, dtype=np.float32)
         with pytest.raises(ExecutionError) as interp_err:
-            Interpreter(build()).run({"x": x})
-        with pytest.raises(ExecutionError) as exec_err:
-            CompiledExecutor(build()).run({"x": x})
+            Interpreter(build(), num_threads=2).run({"x": x})
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(ExecutionError) as exec_err:
+                CodegenExecutor(build()).run(
+                    {"x": x}, pool=pool, num_threads=2
+                )
         assert str(interp_err.value) == str(exec_err.value)
         assert "out of bounds" in str(exec_err.value)
 
     def test_static_out_of_bounds_raises_at_run_not_build(self):
-        b = TirBuilder("f")
-        b.param("x", DType.f32, (4,))
-        b.fill(SliceRef("x", (2,), (4,)), 1.0)  # [2, 6) over a (4,) buf
-        module = TirModule(entry="f")
-        module.add(b.finish())
-        executor = CompiledExecutor(module)  # build must not raise
-        with pytest.raises(ExecutionError, match="out of bounds"):
+        def build():
+            b = TirBuilder("f")
+            b.param("x", DType.f32, (4,))
+            b.fill(SliceRef("x", (2,), (4,)), 1.0)  # [2, 6) over (4,)
+            module = TirModule(entry="f")
+            module.add(b.finish())
+            return module
+
+        executor = CodegenExecutor(build())  # build must not raise
+        with pytest.raises(ExecutionError) as exec_err:
             executor.run({"x": np.zeros(4, dtype=np.float32)})
+        with pytest.raises(ExecutionError) as interp_err:
+            Interpreter(build()).run({"x": np.zeros(4, dtype=np.float32)})
+        assert str(exec_err.value) == str(interp_err.value)
+        assert "out of bounds" in str(exec_err.value)
 
     def test_entry_validation_matches_interpreter(self):
         b = TirBuilder("f")
@@ -331,39 +370,63 @@ class TestSpecialization:
         b.fill(full_slice("x", (4,)), 1.0)
         module = TirModule(entry="f")
         module.add(b.finish())
-        executor = CompiledExecutor(module)
-        with pytest.raises(ExecutionError, match="missing buffer 'x'"):
-            executor.run({})
-        with pytest.raises(ExecutionError, match="has shape"):
-            executor.run({"x": np.zeros((5,), dtype=np.float32)})
+        for feed in ({}, {"x": np.zeros((5,), dtype=np.float32)}):
+            with pytest.raises(ExecutionError) as interp_err:
+                Interpreter(module).run(dict(feed))
+            with pytest.raises(ExecutionError) as exec_err:
+                CodegenExecutor(module).run(dict(feed))
+            assert str(exec_err.value) == str(interp_err.value)
 
     def test_pooled_temporaries_are_rezeroed(self):
-        # out += tmp with tmp never written: must read zeros on every
-        # call, including ones served from the buffer free-list.
+        # Thread-local scratch inside a threaded parallel loop: worker
+        # slots are pooled across calls and must read zeros on every
+        # iteration of every call, as the interpreter's frame fork does.
         b = TirBuilder("f")
-        b.param("out", DType.f32, (4,))
-        tmp = b.alloc("tmp", DType.f32, (4,))
-        b.compute(
-            "add",
-            full_slice("out", (4,)),
-            [full_slice("out", (4,)), full_slice(tmp, (4,))],
-        )
-        b.fill(full_slice(tmp, (4,)), 9.0)  # poison before the free
-        b.free(tmp)
+        b.param("out", DType.f32, (4, 4))
+        b.alloc("scratch", DType.f32, (4,), thread_local=True)
+        with b.parallel_for("i", 4) as i:
+            b.compute(
+                "add",
+                full_slice("scratch", (4,)),
+                [full_slice("scratch", (4,)), 1.0],
+            )
+            b.copy(
+                SliceRef("out", (i, 0), (1, 4)),
+                full_slice("scratch", (4,)),
+            )
+        b.free("scratch")
         module = TirModule(entry="f")
         module.add(b.finish())
-        executor = CompiledExecutor(module)
-        for _ in range(3):
-            out = np.ones(4, dtype=np.float32)
-            executor.run({"out": out})
-            np.testing.assert_array_equal(out, np.ones(4))
+        expected = np.zeros((4, 4), dtype=np.float32)
+        Interpreter(module, num_threads=2).run({"out": expected})
+        np.testing.assert_array_equal(expected, np.ones((4, 4)))
+        executor = CodegenExecutor(module)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                out = np.zeros((4, 4), dtype=np.float32)
+                executor.run({"out": out}, pool=pool, num_threads=2)
+                np.testing.assert_array_equal(out, expected)
 
     def test_stats_match_interpreter_exactly(self):
-        module = _parallel_module()
-        x = np.zeros((4, 8), dtype=np.float32)
+        # Nested parallel loops: the inner loop runs serially inside the
+        # outer chunk, and every counter still matches the interpreter.
+        b = TirBuilder("f")
+        b.param("x", DType.f32, (4, 8))
+        with b.parallel_for("i", 4) as i:
+            with b.parallel_for("j", 2) as j:
+                b.fill(SliceRef("x", (i, j * 4), (1, 4)), 2.0)
+        module = TirModule(entry="f")
+        module.add(b.finish())
         interp = Interpreter(module)
-        interp.run({"x": x})
-        stats = CompiledExecutor(module).run(
-            {"x": np.zeros((4, 8), dtype=np.float32)}
-        )
+        interp.run({"x": np.zeros((4, 8), dtype=np.float32)})
+        x = np.zeros((4, 8), dtype=np.float32)
+        stats = CodegenExecutor(module).run({"x": x})
         assert stats.to_dict() == interp.stats.to_dict()
+        assert np.all(x == 2.0)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = CodegenExecutor(module).run(
+                {"x": x}, pool=pool, num_threads=2
+            )
+        for key, value in interp.stats.to_dict().items():
+            if key != "peak_temp_bytes":
+                assert threaded.to_dict()[key] == value, key

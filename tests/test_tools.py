@@ -151,18 +151,14 @@ class TestRuntimeBench:
         document = json.loads(path.read_text())
         assert validate_bench_runtime(document) == []
         assert document["schema"] == "repro.bench_runtime/v2"
-        assert document["executors"] == [
-            "interpret", "compiled", "codegen",
-        ]
+        assert document["executors"] == ["interpret", "codegen"]
         machine = document["machine"]
         assert machine["host_cpus"] >= 1
         assert isinstance(machine["platform"], str)
         for entry in document["workloads"]:
             assert entry["identical"] is True
-            for ratio in (
-                "compiled", "codegen", "codegen_vs_compiled",
-            ):
-                assert entry["speedup"][ratio] > 0
+            assert list(entry["speedup"]) == ["codegen"]
+            assert entry["speedup"]["codegen"] > 0
 
     def test_single_backend_run(self, capsys, tmp_path):
         import json
@@ -172,12 +168,12 @@ class TestRuntimeBench:
         path = tmp_path / "runtime.json"
         assert bench_main(
             ["runtime", "--quick", "--repeat", "1",
-             "--executor", "compiled", "--json", str(path)]
+             "--executor", "codegen", "--json", str(path)]
         ) == 0
         document = json.loads(path.read_text())
-        assert document["executors"] == ["compiled"]
+        assert document["executors"] == ["codegen"]
         for entry in document["workloads"]:
-            assert "compiled_ms" in entry
+            assert "codegen_ms" in entry
             assert "speedup" not in entry
 
     def test_validator_rejects_malformed_documents(self):
@@ -190,21 +186,20 @@ class TestRuntimeBench:
             "dtype": "f32",
             "num_threads": 1,
             "repeat": 1,
-            "executors": ["interpret", "compiled", "codegen"],
+            "executors": ["interpret", "codegen"],
             "workloads": [
                 {
                     "group": "fig8-mlp",
                     "name": "MLP_1_b32",
                     "interpret_ms": 1.0,
-                    "compiled_ms": -2.0,  # non-positive latency
-                    "codegen_ms": 0.5,
+                    "codegen_ms": -2.0,  # non-positive latency
                     "identical": False,  # multi run must be identical
                 }
             ],
             "geomean_speedup": {},
         }
         errors = validate_bench_runtime(bad)
-        assert any("compiled_ms" in e for e in errors)
+        assert any("codegen_ms" in e for e in errors)
         assert any("identical" in e for e in errors)
         assert any("speedup" in e for e in errors)
 
@@ -217,12 +212,12 @@ class TestRuntimeBench:
             "dtype": "f32",
             "num_threads": 1,
             "repeat": 1,
-            "executors": ["compiled"],
+            "executors": ["codegen"],
             "workloads": [
                 {
                     "group": "fig8-mlp",
                     "name": "MLP_1_b32",
-                    "compiled_ms": 1.0,
+                    "codegen_ms": 1.0,
                 }
             ],
         }
@@ -256,6 +251,16 @@ class TestRuntimeBench:
             "geomean_speedup": {"fig8-mlp": 2.0, "all": 2.0},
         }
         assert validate_bench_runtime(legacy) == []
+
+    def test_committed_runtime_artifact_validates(self):
+        import json
+        from pathlib import Path
+
+        from repro.tools.bench import validate_bench_runtime
+
+        path = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
+        document = json.loads(path.read_text())
+        assert validate_bench_runtime(document) == []
 
 
 class TestServingBench:
