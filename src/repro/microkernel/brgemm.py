@@ -10,7 +10,17 @@ blocks in plain layout.  Int8 inputs accumulate in int32 (VNNI semantics);
 floating inputs accumulate in float32.
 
 The compiler only chooses block sizes and batch; everything inside this call
-is the "expert-tuned" black box the hybrid approach relies on.
+is the "expert-tuned" black box the hybrid approach relies on.  Here that
+box is the BLAS numpy links: the batch-reduce flattens into ONE GEMM over
+the ``BS*KB`` reduction axis (A ``[BS, MB, KB]`` -> ``[MB, BS*KB]``, B
+``[BS, NB, KB]`` -> ``[NB, BS*KB]`` or ``[BS, KB, NB]`` -> ``[BS*KB, NB]``),
+which is sgemm for f32/bf16.  Int8 operands widen to float64 and run
+dgemm: every partial sum is an integer of magnitude below
+``255 * 128 * BS * KB``, far under 2**53, so the product is exact and casts
+back to int32 bit-identically to an integer GEMM.
+
+:func:`brgemm_kernel` is that numeric sequence alone; both runtime
+backends execute it, so they stay bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
+
+_INT8 = (np.int8, np.uint8)
 
 
 def batch_reduce_gemm(
@@ -64,32 +76,49 @@ def batch_reduce_gemm(
             f"brgemm accumulator shape {c.shape} != ({mb}, {nb})"
         )
 
-    if a.dtype in (np.int8, np.uint8):
+    if a.dtype in _INT8:
         if c.dtype != np.int32:
             raise ExecutionError(
                 f"int8 brgemm needs an int32 accumulator, got {c.dtype}"
             )
-        acc_dtype = np.int32
-    else:
-        if c.dtype != np.float32:
-            raise ExecutionError(
-                f"float brgemm needs a float32 accumulator, got {c.dtype}"
-            )
-        acc_dtype = np.float32
-    # asarray: widen int8 operands to the accumulator dtype, but never
-    # copy operands already in it (astype would copy unconditionally).
-    acc_a = np.asarray(a, dtype=acc_dtype)
-    acc_b = np.asarray(b, dtype=acc_dtype)
+    elif c.dtype != np.float32:
+        raise ExecutionError(
+            f"float brgemm needs a float32 accumulator, got {c.dtype}"
+        )
+    brgemm_kernel(c, a, b, b_transposed, initialize)
 
+
+def brgemm_kernel(
+    c: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    b_transposed: bool,
+    initialize: bool,
+) -> None:
+    """:func:`batch_reduce_gemm` without its checks: one BLAS GEMM.
+
+    Callers guarantee the shapes and dtypes ``batch_reduce_gemm``
+    validates (the code generator proves them at build time).  Operands
+    may be any strided views: each is copied once into a C-contiguous
+    GEMM operand, so the BLAS call sees the same layout whatever the
+    caller's strides.
+    """
+    bs, mb, kb = a.shape
+    exact = a.dtype in _INT8
+    gemm_dtype = np.float64 if exact else np.float32
+    lhs = np.ascontiguousarray(a.transpose(1, 0, 2), dtype=gemm_dtype)
     if b_transposed:
-        partial = np.einsum("bmk,bnk->mn", acc_a, acc_b)
+        rhs = np.ascontiguousarray(b.transpose(1, 0, 2), dtype=gemm_dtype)
+        rhs = rhs.reshape(-1, bs * kb).T
     else:
-        partial = np.einsum("bmk,bkn->mn", acc_a, acc_b)
-
+        rhs = np.ascontiguousarray(b, dtype=gemm_dtype).reshape(bs * kb, -1)
+    partial = np.dot(lhs.reshape(mb, bs * kb), rhs)
+    if exact:
+        partial = partial.astype(np.int32)
     if initialize:
-        c[...] = partial.astype(c.dtype, copy=False)
+        c[...] = partial
     else:
-        c += partial.astype(c.dtype, copy=False)
+        c += partial
 
 
 def brgemm_flops(mb: int, nb: int, kb: int, batch: int) -> int:

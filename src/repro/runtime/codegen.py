@@ -54,6 +54,7 @@ import numpy as np
 
 from ..errors import ExecutionError, TensorIRError
 from ..graph_ir.op_registry import OP_REGISTRY
+from ..microkernel.brgemm import brgemm_kernel
 from ..observability import get_tracer
 from ..tensor_ir.expr import Binary, BinaryOp, Const, Expr, Var, fold
 from ..tensor_ir.function import TirFunction
@@ -78,17 +79,6 @@ from ..tensor_ir.stmt import (
 from ..tensor_ir.visitor import walk
 from .dynamic import bind_shapes, run_pack, run_unpack
 from .interpreter import ExecutionStats, brgemm_cost_attrs
-
-try:  # numpy >= 2.0
-    from numpy._core._multiarray_umath import c_einsum as _C_EINSUM
-except ImportError:  # pragma: no cover - depends on numpy version
-    try:  # numpy 1.x
-        from numpy.core._multiarray_umath import c_einsum as _C_EINSUM
-    except ImportError:
-        # ``np.einsum(optimize=False)`` delegates straight to c_einsum,
-        # so binding it skips only wrapper overhead — results identical.
-        _C_EINSUM = np.einsum
-
 
 #: Buffers at most this large are recycled through per-Alloc free-lists;
 #: larger ones go back to the allocator (``np.zeros`` is calloc-backed and
@@ -417,8 +407,7 @@ class _FunctionEmitter:
             "_add": np.add,
             "_maximum": np.maximum,
             "_broadcast_to": np.broadcast_to,
-            "_einsum": _C_EINSUM,
-            "_contig": np.ascontiguousarray,
+            "_brgemm": brgemm_kernel,
             "_rpack": run_pack,
             "_runpack": run_unpack,
             "_pc": time.perf_counter,
@@ -1178,41 +1167,31 @@ class _FunctionEmitter:
                     f"int8 brgemm needs an int32 accumulator, got "
                     f"{c_dtype}",
                 )
-            acc_dtype = np.int32
-        else:
-            if c_dtype != np.float32:
-                raise _SpecializationError(
-                    ExecutionError,
-                    f"float brgemm needs a float32 accumulator, got "
-                    f"{c_dtype}",
-                )
-            acc_dtype = np.float32
-        subscripts = "bmk,bnk->mn" if stmt.b_transposed else "bmk,bkn->mn"
+        elif c_dtype != np.float32:
+            raise _SpecializationError(
+                ExecutionError,
+                f"float brgemm needs a float32 accumulator, got {c_dtype}",
+            )
         self.count("brgemm_calls")
         a = self.emit_slice(stmt.a, squeeze_axes=tuple(a_axes))
         b = self.emit_slice(stmt.b, squeeze_axes=tuple(b_axes))
         c = self.emit_slice(stmt.c, squeeze_axes=tuple(c_axes))
-        acc = self.bind("dt", acc_dtype)
         self.emit(f"_ba = {a}")
         self.emit(f"_bb = {b}")
         self.emit(f"_bc = {c}")
-        kernel = [
-            # One pass makes the operands contiguous *and* widens int8
-            # to the accumulator dtype; einsum output is already wide.
-            f"_p = _einsum({subscripts!r}, _contig(_ba, dtype={acc}), "
-            f"_contig(_bb, dtype={acc}))",
-            "_bc[...] = _p" if stmt.initialize else "_bc += _p",
-        ]
+        # The interpreter's kernel, minus the checks proven above.
+        kernel = (
+            f"_brgemm(_bc, _ba, _bb, {stmt.b_transposed}, "
+            f"{stmt.initialize})"
+        )
         self.emit("if _tr is None:")
-        for line in kernel:
-            self.emit("    " + line)
+        self.emit("    " + kernel)
         self.emit("else:")
         self.emit(
             "    with _tr.span('brgemm', category='microkernel') as _sp:"
         )
         self.emit("        _t0 = _pc()")
-        for line in kernel:
-            self.emit("        " + line)
+        self.emit("        " + kernel)
         self.emit(
             f"        _sp.set(**_bca(_ctx.machine, _ba, _bc, "
             f"{stmt.batch}, _pc() - _t0))"

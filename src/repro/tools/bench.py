@@ -264,14 +264,11 @@ def run_fig8_mha(dtype: DType, batches) -> None:
 
 
 #: Schema tag of the runtime-bench artifact; bump on breaking changes.
-#: v2 makes the per-workload ``speedup`` a dict of named ratios and
-#: records real machine provenance (``machine`` becomes an object with
-#: ``host_cpus`` etc.).
+#: v2 makes the per-workload ``speedup`` a dict of named ratios, records
+#: real machine provenance (``machine`` is an object with ``host_cpus``
+#: etc.) and times the op-by-op numpy reference (``reference_ms``,
+#: ``x_vs_reference`` per backend).
 BENCH_RUNTIME_SCHEMA = "repro.bench_runtime/v2"
-
-#: Older runtime schema (interpret vs the since-removed closure executor,
-#: string machine tag); committed v1 artifacts still validate.
-BENCH_RUNTIME_SCHEMA_V1 = "repro.bench_runtime/v1"
 
 #: Ratio keys of the v2 ``speedup`` dict, in report order.
 _RUNTIME_RATIOS = (("codegen", "interpret", "codegen"),)
@@ -334,10 +331,21 @@ def _runtime_workloads(dtype: DType, quick: bool):
     return items
 
 
-def _measure_backend(builder, backend: str, repeat: int, threads: int):
-    """(best steady-state ms, outputs in signature order, stats dict)."""
+def _best_ms(run, repeat: int):
+    """(best wall ms of ``repeat`` calls of ``run``, the last result)."""
     import time
 
+    best = float("inf")
+    for _ in range(max(1, repeat)):
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3, result
+
+
+def _measure_backend(builder, backend: str, repeat: int, threads: int):
+    """(best steady-state ms, outputs in signature order, stats dict,
+    the synthetic feed)."""
     options = dataclasses.replace(_effective_options(None), executor=backend)
     partition = compile_graph(
         builder(), options=options, num_threads=threads
@@ -345,14 +353,36 @@ def _measure_backend(builder, backend: str, repeat: int, threads: int):
     feed = _synthetic_inputs(partition)
     partition.execute(dict(feed))  # init + one-time specialization
     partition.execute(dict(feed))  # warmup
-    best = float("inf")
-    for _ in range(max(1, repeat)):
-        start = time.perf_counter()
-        outputs = partition.execute(dict(feed))
-        best = min(best, time.perf_counter() - start)
+    ms, outputs = _best_ms(lambda: partition.execute(dict(feed)), repeat)
     stats = partition.last_stats.to_dict() if partition.last_stats else {}
     partition.close()
-    return best * 1e3, list(outputs.values()), stats
+    return ms, list(outputs.values()), stats, feed
+
+
+def _measure_reference(builder, feed: dict, repeat: int) -> float:
+    """Best steady-state ms of ``evaluate_graph`` (the op-by-op numpy
+    reference) on the same graph and feed the backends ran."""
+    from ..graph_ir.reference import evaluate_graph
+
+    graph = builder()
+    evaluate_graph(graph, feed)  # warmup
+    return _best_ms(lambda: evaluate_graph(graph, feed), repeat)[0]
+
+
+def _group_geomeans(by_group: dict) -> dict:
+    """``{group: {key: [ratios]}}`` -> geomeans per group plus ``all``."""
+    geo: dict = {}
+    pooled: dict = {}
+    for group, by_key in sorted(by_group.items()):
+        geo[group] = {
+            key: round(geomean(values), 4) for key, values in by_key.items()
+        }
+        for key, values in by_key.items():
+            pooled.setdefault(key, []).extend(values)
+    geo["all"] = {
+        key: round(geomean(values), 4) for key, values in pooled.items()
+    }
+    return geo
 
 
 def run_runtime(
@@ -362,24 +392,35 @@ def run_runtime(
 
     Returns the ``BENCH_runtime.json`` document (schema
     ``repro.bench_runtime/v2``): per-workload latency for each measured
-    backend, a ``speedup`` dict of pairwise ratios, and a bit-identity
-    flag across every backend pair.
+    backend and for the numpy reference, ``x_vs_reference`` (reference
+    time over each backend's), a ``speedup`` dict of pairwise backend
+    ratios, and a bit-identity flag across every backend pair.
     """
     import numpy as np
 
     backends = list(EXECUTOR_BACKENDS) if executor == "all" else [executor]
     workloads = []
     ratios_by_group: dict = {}
+    reference_by_group: dict = {}
     for group, label, builder in _runtime_workloads(dtype, quick):
         entry = {"group": group, "name": label}
         outputs = {}
         for backend in backends:
-            ms, outs, stats = _measure_backend(
+            ms, outs, stats, feed = _measure_backend(
                 builder, backend, repeat, threads
             )
             entry[f"{backend}_ms"] = round(ms, 4)
             entry["brgemm_calls"] = stats.get("brgemm_calls", 0)
             outputs[backend] = outs
+        reference_ms = _measure_reference(builder, feed, repeat)
+        entry["reference_ms"] = round(reference_ms, 4)
+        entry["x_vs_reference"] = {
+            backend: round(reference_ms / entry[f"{backend}_ms"], 4)
+            for backend in backends
+        }
+        group_reference = reference_by_group.setdefault(group, {})
+        for backend, value in entry["x_vs_reference"].items():
+            group_reference.setdefault(backend, []).append(value)
         if len(backends) > 1:
             speedup = {}
             for ratio, base, target in _RUNTIME_RATIOS:
@@ -409,47 +450,42 @@ def run_runtime(
         "repeat": repeat,
         "executors": backends,
         "workloads": workloads,
+        "geomean_x_vs_reference": _group_geomeans(reference_by_group),
     }
     if ratios_by_group:
-        all_ratios: dict = {}
-        geo = {}
-        for group, by_ratio in sorted(ratios_by_group.items()):
-            geo[group] = {
-                ratio: round(geomean(values), 4)
-                for ratio, values in by_ratio.items()
-            }
-            for ratio, values in by_ratio.items():
-                all_ratios.setdefault(ratio, []).extend(values)
-        geo["all"] = {
-            ratio: round(geomean(values), 4)
-            for ratio, values in all_ratios.items()
-        }
-        document["geomean_speedup"] = geo
+        document["geomean_speedup"] = _group_geomeans(ratios_by_group)
     return document
+
+
+def _positive_ratios(value, keys) -> bool:
+    """A non-empty dict with a positive number under every key."""
+    return isinstance(value, dict) and bool(value) and all(
+        isinstance(value.get(key), (int, float)) and value[key] > 0
+        for key in keys
+    )
 
 
 def validate_bench_runtime(document: dict) -> List[str]:
     """Schema check for BENCH_runtime.json; returns a list of problems.
 
-    Accepts the current v2 schema and legacy v1 artifacts.  v2 requires
-    real machine provenance (``machine.host_cpus`` and ``.platform``)
-    and a per-workload ``speedup`` dict; v1 used a string machine tag
-    and a scalar two-way speedup.
+    Only the current v2 schema is accepted.  It requires real machine
+    provenance (``machine.host_cpus`` and ``.platform``), a positive
+    ``reference_ms`` and per-backend ``x_vs_reference`` on every workload
+    (with their geomeans), and, for multi-backend runs, a per-workload
+    ``speedup`` dict and bit-identical outputs.
     """
     errors: List[str] = []
     if not isinstance(document, dict):
         return ["document is not an object"]
     schema = document.get("schema")
-    if schema not in (BENCH_RUNTIME_SCHEMA, BENCH_RUNTIME_SCHEMA_V1):
+    if schema != BENCH_RUNTIME_SCHEMA:
         errors.append(
-            f"schema is {schema!r}, expected {BENCH_RUNTIME_SCHEMA!r} "
-            f"(or legacy {BENCH_RUNTIME_SCHEMA_V1!r})"
+            f"schema is {schema!r}, expected {BENCH_RUNTIME_SCHEMA!r}"
         )
-    v2 = schema == BENCH_RUNTIME_SCHEMA
     for key in ("machine", "dtype", "num_threads", "repeat", "executors"):
         if key not in document:
             errors.append(f"missing key {key!r}")
-    if v2 and "machine" in document:
+    if "machine" in document:
         machine = document["machine"]
         if not isinstance(machine, dict):
             errors.append("machine must be an object with provenance")
@@ -462,11 +498,12 @@ def validate_bench_runtime(document: dict) -> List[str]:
     executors = document.get("executors", [])
     if not isinstance(executors, list) or not executors:
         errors.append("executors must be a non-empty list")
+        executors = []
     workloads = document.get("workloads")
     if not isinstance(workloads, list) or not workloads:
         errors.append("workloads must be a non-empty list")
         return errors
-    multi = isinstance(executors, list) and len(executors) > 1
+    multi = len(executors) > 1
     for index, entry in enumerate(workloads):
         where = f"workloads[{index}]"
         if not isinstance(entry, dict):
@@ -475,28 +512,30 @@ def validate_bench_runtime(document: dict) -> List[str]:
         for key in ("group", "name"):
             if not isinstance(entry.get(key), str):
                 errors.append(f"{where}.{key} missing or not a string")
-        for backend in executors:
+        for backend in executors + ["reference"]:
             ms = entry.get(f"{backend}_ms")
             if not isinstance(ms, (int, float)) or ms <= 0:
                 errors.append(f"{where}.{backend}_ms must be positive")
+        if not _positive_ratios(entry.get("x_vs_reference"), executors):
+            errors.append(
+                f"{where}.x_vs_reference needs a positive ratio per "
+                f"executor"
+            )
         if multi:
             speedup = entry.get("speedup")
-            if v2:
-                if not isinstance(speedup, dict) or not speedup:
-                    errors.append(f"{where}.speedup dict missing")
-                elif not all(
-                    isinstance(v, (int, float)) and v > 0
-                    for v in speedup.values()
-                ):
-                    errors.append(
-                        f"{where}.speedup ratios must be positive"
-                    )
-            elif not isinstance(speedup, (int, float)):
-                errors.append(f"{where}.speedup missing")
+            if not isinstance(speedup, dict) or not speedup:
+                errors.append(f"{where}.speedup dict missing")
+            elif not _positive_ratios(speedup, speedup):
+                errors.append(f"{where}.speedup ratios must be positive")
             if entry.get("identical") is not True:
                 errors.append(
                     f"{where}: backends disagree (identical != true)"
                 )
+    geo = document.get("geomean_x_vs_reference")
+    if not isinstance(geo, dict) or not _positive_ratios(
+        geo.get("all"), executors
+    ):
+        errors.append("geomean_x_vs_reference.all missing")
     if multi and not isinstance(document.get("geomean_speedup"), dict):
         errors.append("geomean_speedup missing")
     return errors
@@ -504,7 +543,8 @@ def validate_bench_runtime(document: dict) -> List[str]:
 
 def _print_runtime_report(document: dict) -> None:
     rows = []
-    multi = len(document["executors"]) > 1
+    executors = list(document["executors"])
+    multi = len(executors) > 1
     ratio_keys: List[str] = []
     if multi:
         seen = set()
@@ -513,18 +553,22 @@ def _print_runtime_report(document: dict) -> None:
         ratio_keys = [r for r, _, _ in _RUNTIME_RATIOS if r in seen]
     for entry in document["workloads"]:
         row = {"test": f"{entry['group']}: {entry['name']}"}
-        for backend in document["executors"]:
+        for backend in executors + ["reference"]:
             row[backend] = f"{entry[f'{backend}_ms']:.2f}ms"
         for ratio in ratio_keys:
             value = entry.get("speedup", {}).get(ratio)
             row[f"x {ratio}"] = value if value is not None else "-"
+        for backend in executors:
+            row[f"{backend} x ref"] = entry["x_vs_reference"][backend]
         if multi:
             row["identical"] = str(entry["identical"]).lower()
         rows.append(row)
     columns = (
         ["test"]
-        + list(document["executors"])
+        + executors
+        + ["reference"]
         + [f"x {ratio}" for ratio in ratio_keys]
+        + [f"{backend} x ref" for backend in executors]
     )
     if multi:
         columns.append("identical")
@@ -536,11 +580,15 @@ def _print_runtime_report(document: dict) -> None:
             columns,
         )
     )
-    for group, by_ratio in document.get("geomean_speedup", {}).items():
-        ratios = ", ".join(
-            f"{ratio} {value:.2f}x" for ratio, value in by_ratio.items()
-        )
-        print(f"geomean speedup [{group}]: {ratios}")
+    for title, key in (
+        ("geomean speedup", "geomean_speedup"),
+        ("geomean x_vs_reference", "geomean_x_vs_reference"),
+    ):
+        for group, by_ratio in document.get(key, {}).items():
+            ratios = ", ".join(
+                f"{ratio} {value:.2f}x" for ratio, value in by_ratio.items()
+            )
+            print(f"{title} [{group}]: {ratios}")
 
 
 #: Schema tag of the serving-bench artifact; bump on breaking changes.

@@ -368,7 +368,7 @@ class TestSourceIsLinear:
         assert brgemms and loops
         source = "".join(executor.sources.values())
         # One untraced and one traced copy of each microkernel call.
-        assert source.count("_einsum(") == 2 * brgemms
+        assert source.count("_brgemm(") == 2 * brgemms
         chunks = {
             name: text
             for src in executor.sources.values()

@@ -118,6 +118,90 @@ class TestBrgemm:
         np.testing.assert_allclose(c, expected, rtol=1e-4, atol=1e-5)
 
 
+#: (bs, mb, nb, kb): tiny, a typical template block, and two reductions
+#: of bs*kb >= 4096 (the second with a single output column).
+INT8_SHAPES = [(1, 3, 5, 7), (4, 16, 32, 16), (64, 16, 16, 64),
+               (16, 5, 1, 300)]
+
+
+def _int8_operands(kind, bs, mb, nb, kb, transposed, rng):
+    b_shape = (bs, nb, kb) if transposed else (bs, kb, nb)
+    if kind == "u8xs8":
+        a = rng.randint(0, 256, (bs, mb, kb)).astype(np.uint8)
+        b = rng.randint(-128, 128, b_shape).astype(np.int8)
+    elif kind == "s8xs8":
+        a = rng.randint(-128, 128, (bs, mb, kb)).astype(np.int8)
+        b = rng.randint(-128, 128, b_shape).astype(np.int8)
+    elif kind == "u8high":
+        # Same-sign, irregular products: sums pass 2**24 at bs*kb=4096,
+        # where a float32 GEMM would round (uniform extremes would not).
+        a = rng.randint(192, 256, (bs, mb, kb)).astype(np.uint8)
+        b = rng.randint(-128, -96, b_shape).astype(np.int8)
+    elif kind == "u8max":
+        a = np.full((bs, mb, kb), 255, np.uint8)
+        b = np.full(b_shape, -128, np.int8)
+    else:  # s8min
+        a = np.full((bs, mb, kb), -128, np.int8)
+        b = np.full(b_shape, -128, np.int8)
+    return a, b
+
+
+class TestInt8Exact:
+    """The float64 GEMM path equals an int64 oracle exactly."""
+
+    @pytest.mark.parametrize(
+        "kind", ["u8xs8", "s8xs8", "u8high", "u8max", "s8min"]
+    )
+    @pytest.mark.parametrize("shape", INT8_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("transposed", [True, False],
+                             ids=["nk", "kn"])
+    @pytest.mark.parametrize("init", [True, False],
+                             ids=["init", "accum"])
+    def test_matches_int64_oracle(self, kind, shape, transposed, init):
+        bs, mb, nb, kb = shape
+        rng = np.random.RandomState(bs * 7 + kb)
+        a, b = _int8_operands(kind, bs, mb, nb, kb, transposed, rng)
+        subscripts = "bmk,bnk->mn" if transposed else "bmk,bkn->mn"
+        expected = np.einsum(
+            subscripts, a.astype(np.int64), b.astype(np.int64)
+        )
+        c = rng.randint(-10**6, 10**6, (mb, nb)).astype(np.int32)
+        if not init:
+            expected = expected + c
+        batch_reduce_gemm(c, a, b, b_transposed=transposed, initialize=init)
+        assert c.dtype == np.int32
+        np.testing.assert_array_equal(c, expected)
+
+
+class TestStridedOperands:
+    """Views of larger buffers give the bits contiguous copies give."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    @pytest.mark.parametrize("transposed", [True, False])
+    def test_views_equal_contiguous_copies(self, dtype, transposed):
+        rng = np.random.RandomState(5)
+        if dtype == np.float32:
+            big_a = rng.rand(6, 20, 40).astype(np.float32)
+            big_b = rng.rand(6, 40, 40).astype(np.float32) - 0.5
+            acc = np.float32
+        else:
+            big_a = rng.randint(0, 256, (6, 20, 40)).astype(np.uint8)
+            big_b = rng.randint(-128, 128, (6, 40, 40)).astype(np.int8)
+            acc = np.int32
+        a = big_a[1:5, 2:18, 3:35]
+        b = big_b[1:5, 4:28, 3:35] if transposed else big_b[1:5, 3:35, 4:28]
+        c_big = np.zeros((20, 30), acc)
+        view_c = c_big[2:18, 1:25]
+        flat_c = np.zeros((16, 24), acc)
+        for c, lhs, rhs in ((view_c, a, b), (flat_c, a.copy(), b.copy())):
+            batch_reduce_gemm(c, lhs, rhs, b_transposed=transposed,
+                              initialize=True)
+            batch_reduce_gemm(c, lhs, rhs, b_transposed=transposed)
+        np.testing.assert_array_equal(view_c, flat_c)
+        assert not c_big[:2].any() and not c_big[:, 25:].any()
+
+
 class TestMachineModel:
     def test_xeon_parameters(self):
         assert XEON_8358.num_cores == 32

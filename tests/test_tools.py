@@ -159,6 +159,15 @@ class TestRuntimeBench:
             assert entry["identical"] is True
             assert list(entry["speedup"]) == ["codegen"]
             assert entry["speedup"]["codegen"] > 0
+            assert entry["reference_ms"] > 0
+            assert list(entry["x_vs_reference"]) == ["interpret", "codegen"]
+            ratio = entry["reference_ms"] / entry["codegen_ms"]
+            assert entry["x_vs_reference"]["codegen"] == pytest.approx(
+                ratio, rel=1e-3, abs=2e-4
+            )
+        assert set(document["geomean_x_vs_reference"]["all"]) == {
+            "interpret", "codegen"
+        }
 
     def test_single_backend_run(self, capsys, tmp_path):
         import json
@@ -175,6 +184,7 @@ class TestRuntimeBench:
         for entry in document["workloads"]:
             assert "codegen_ms" in entry
             assert "speedup" not in entry
+            assert list(entry["x_vs_reference"]) == ["codegen"]
 
     def test_validator_rejects_malformed_documents(self):
         from repro.tools.bench import validate_bench_runtime
@@ -194,6 +204,8 @@ class TestRuntimeBench:
                     "interpret_ms": 1.0,
                     "codegen_ms": -2.0,  # non-positive latency
                     "identical": False,  # multi run must be identical
+                    # no reference_ms; one backend's ratio missing
+                    "x_vs_reference": {"interpret": 0.5},
                 }
             ],
             "geomean_speedup": {},
@@ -202,6 +214,9 @@ class TestRuntimeBench:
         assert any("codegen_ms" in e for e in errors)
         assert any("identical" in e for e in errors)
         assert any("speedup" in e for e in errors)
+        assert any("reference_ms" in e for e in errors)
+        assert any(".x_vs_reference" in e for e in errors)
+        assert any("geomean_x_vs_reference" in e for e in errors)
 
     def test_validator_requires_v2_machine_provenance(self):
         from repro.tools.bench import validate_bench_runtime
@@ -228,7 +243,7 @@ class TestRuntimeBench:
             "host_cpus" in e for e in validate_bench_runtime(document)
         )
 
-    def test_validator_accepts_legacy_v1_documents(self):
+    def test_validator_rejects_legacy_v1_documents(self):
         from repro.tools.bench import validate_bench_runtime
 
         legacy = {
@@ -250,7 +265,9 @@ class TestRuntimeBench:
             ],
             "geomean_speedup": {"fig8-mlp": 2.0, "all": 2.0},
         }
-        assert validate_bench_runtime(legacy) == []
+        errors = validate_bench_runtime(legacy)
+        assert any("repro.bench_runtime/v1" in e for e in errors)
+        assert any("machine" in e for e in errors)
 
     def test_committed_runtime_artifact_validates(self):
         import json
@@ -261,6 +278,7 @@ class TestRuntimeBench:
         path = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
         document = json.loads(path.read_text())
         assert validate_bench_runtime(document) == []
+        assert document["executors"] == ["interpret", "codegen"]
 
 
 class TestServingBench:
